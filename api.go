@@ -259,8 +259,8 @@ func WriteCatalogDelta(w io.Writer, d *CatalogDelta) error { return db.WriteCata
 type Server = server.Server
 
 // ServerConfig tunes a Server (planner options, tenant isolation, width
-// bounds, timeouts, concurrency limit, micro-batching). The zero value
-// selects production-safe defaults.
+// bounds, timeouts, concurrency limit, admission, result cache). The zero
+// value selects production-safe defaults.
 type ServerConfig = server.Config
 
 // PlanNode is the JSON wire form of a decomposition vertex (λ and χ as

@@ -3,8 +3,11 @@
 //
 // Usage:
 //
-//	benchrun [-exp all|fig5|fig67|fig8a|fig8b|psi] [-seed n] [-repeats n] [-scale f]
+//	benchrun [-exp all|fig5|fig67|fig8a|fig8b|psi|methods|planner|solver|chaos] [-seed n] [-repeats n] [-scale f]
 //	benchrun -compare base.json head.json [-tolerance 0.20]
+//
+// An unknown -exp name is an error: benchrun lists the valid names and
+// exits non-zero. The serving load generators live in perfbench/.
 //
 // fig8a at -scale 1 uses ≈1500-tuple relations as in the paper and takes
 // a few minutes, dominated by the baseline's evaluation time (that is the
@@ -21,6 +24,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -28,18 +32,27 @@ import (
 	"repro/internal/chaos/scenario"
 )
 
+// experiments lists the valid -exp names. "all" runs every print-only
+// table; solver and chaos run only when named.
+var experiments = []string{"all", "fig5", "fig67", "fig8a", "fig8b", "psi", "methods", "planner", "solver", "chaos"}
+
+// checkExp rejects an -exp name that would otherwise run nothing.
+func checkExp(name string) error {
+	if slices.Contains(experiments, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown -exp %q; valid: %s", name, strings.Join(experiments, "|"))
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchrun: ")
-	exp := flag.String("exp", "all", "experiment: all|fig5|fig67|fig8a|fig8b|psi|methods|planner|server|solver|execute|chaos")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments, "|"))
 	seed := flag.Int64("seed", 1, "random seed")
 	repeats := flag.Int("repeats", 1, "timing repetitions (minimum is reported)")
 	scale := flag.Float64("scale", 1.0, "relative database scale for fig8a/fig8b")
-	requests := flag.Int("requests", 200, "request count for the planner and server experiments")
-	concurrency := flag.Int("concurrency", 16, "client concurrency for the server experiment")
+	requests := flag.Int("requests", 200, "request count for the planner experiment")
 	solverOut := flag.String("solverout", "BENCH_solver.json", "output path for the solver benchmark JSON")
-	executeOut := flag.String("executeout", "BENCH_execute.json", "output path for the execute streaming benchmark JSON")
-	serverOut := flag.String("serverout", "BENCH_server.json", "output path for the cluster loadgen JSON")
 	seeds := flag.Int64("seeds", 10, "seed count for the chaos soak")
 	chaosOut := flag.String("chaosout", "CHAOS_FAIL.txt", "output path for failing chaos seed/schedule lines")
 	compare := flag.Bool("compare", false, "compare two BENCH_solver.json files (base head) and fail on regression")
@@ -49,6 +62,9 @@ func main() {
 	if *compare {
 		runCompare(flag.Args(), *tolerance)
 		return
+	}
+	if err := checkExp(*exp); err != nil {
+		log.Fatal(err)
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
@@ -107,30 +123,6 @@ func main() {
 		}
 		fmt.Println(bench.FormatPlanner(rows, stats))
 	}
-	if run("server") {
-		fmt.Printf("=== Serving layer: %d HTTP plan requests (renamed Q1, k=3), %d-way concurrent, micro-batched ===\n",
-			*requests, *concurrency)
-		rows, stats, err := bench.RunServerExperiment(*requests, *concurrency)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(bench.FormatServerLoad(rows, stats))
-	}
-	// The cluster loadgen writes the BENCH_server.json artifact; like
-	// solver, it runs only when requested explicitly, not under -exp all.
-	if *exp == "server" {
-		fmt.Printf("=== Distributed tier: 3-replica cluster, %d plan requests round-robin, %d-way concurrent ===\n",
-			*requests, *concurrency)
-		rep, err := bench.RunClusterExperiment(*requests, *concurrency)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(bench.FormatServerBench(rep))
-		if err := bench.WriteServerBenchJSON(*serverOut, rep); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *serverOut)
-	}
 	// Unlike the print-only experiments, solver writes a file; it runs only
 	// when requested explicitly, not under -exp all.
 	if *exp == "solver" {
@@ -144,21 +136,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *solverOut)
-	}
-	// The streaming-execute benchmark writes BENCH_execute.json; like
-	// solver, it runs only when requested explicitly. -scale 1 streams the
-	// full ~1M-row answer; -requests counts the cold + replay sweep.
-	if *exp == "execute" {
-		fmt.Printf("=== Streaming execute: /v2/execute NDJSON, scale %.2f, %d requests ===\n", *scale, 4)
-		rep, err := bench.RunExecuteExperiment(4, *scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(bench.FormatExecuteBench(rep))
-		if err := bench.WriteExecuteBenchJSON(*executeOut, rep); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *executeOut)
 	}
 	if run("methods") {
 		fmt.Println("=== Section 1.1: structural method comparison (bicomp / treewidth / ghw / hw) ===")

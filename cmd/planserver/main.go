@@ -79,8 +79,6 @@ func main() {
 	maxK := flag.Int("max-k", 8, "maximum accepted width bound")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	maxInFlight := flag.Int("max-inflight", 256, "maximum concurrent requests (excess get 429)")
-	batchWindow := flag.Duration("batch-window", 0, "micro-batching window for /v1/plan (0 = disabled)")
-	maxBatch := flag.Int("max-batch", 32, "maximum requests per micro-batch")
 	resultCacheBytes := flag.Int64("result-cache-bytes", 0, "result cache byte budget (0 = 64 MiB default, negative = disabled)")
 	nodeID := flag.String("node-id", "", "this replica's cluster id (requires -peers)")
 	peers := flag.String("peers", "", "static cluster membership as id=host:port,... (including this node)")
@@ -105,8 +103,6 @@ func main() {
 		MaxK:             *maxK,
 		RequestTimeout:   *timeout,
 		MaxInFlight:      *maxInFlight,
-		BatchWindow:      *batchWindow,
-		MaxBatch:         *maxBatch,
 		ResultCacheBytes: *resultCacheBytes,
 		DataDir:          *dataDir,
 		Log:              log.Default(),

@@ -107,8 +107,8 @@
 //	fmt.Println(planner.Stats().Plans.Hits)   // 1
 //
 // To serve planning over HTTP — per-tenant catalogs, cross-tenant request
-// coalescing, micro-batching, Prometheus metrics — construct a Server (the
-// standalone binary is cmd/planserver):
+// coalescing, Prometheus metrics — construct a Server (the standalone
+// binary is cmd/planserver):
 //
 //	srv := htd.NewServer(htd.ServerConfig{})
 //	err := srv.ListenAndServe(ctx, ":8080")   // or embed srv.Handler()

@@ -87,35 +87,32 @@ func (c *lru) shardFor(key string) *lruShard {
 // get returns the cached value and bumps it to most-recently-used,
 // recording a hit or miss.
 func (c *lru) get(key string) (any, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	el, ok := s.items[key]
-	if ok {
-		s.ll.MoveToFront(el)
-	}
-	s.mu.Unlock()
+	val, ok := c.touch(key)
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*lruEntry).val, true
+	return val, true
 }
 
 // peek returns the cached value without touching the hit/miss counters:
 // peer-serving and persistence probes must not distort the workload's
 // cache statistics. Recency is still bumped — an exported entry is hot.
-func (c *lru) peek(key string) (any, bool) {
+func (c *lru) peek(key string) (any, bool) { return c.touch(key) }
+
+// touch looks the key up and bumps it to most-recently-used. The value is
+// read under the shard lock: add refreshes an existing entry's value in
+// place, so reading it after unlocking would race a concurrent refresh.
+func (c *lru) touch(key string) (any, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	el, ok := s.items[key]
-	if ok {
-		s.ll.MoveToFront(el)
-	}
-	s.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
+	s.ll.MoveToFront(el)
 	return el.Value.(*lruEntry).val, true
 }
 

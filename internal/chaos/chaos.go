@@ -1,9 +1,9 @@
 // Package chaos is the deterministic fault-injection layer behind the
 // resilience harness: named injection points threaded through the planner
 // (parallel search waves), the cache (singleflight computes, LRU inserts),
-// and the serving layer (handlers, the micro-batcher, catalog publication,
-// shutdown), plus a seed-reproducible fault Schedule that decides, per hit,
-// whether to delay, panic, fail, or drop.
+// and the serving layer (handlers, catalog publication, shutdown), plus a
+// seed-reproducible fault Schedule that decides, per hit, whether to delay,
+// panic, fail, or drop.
 //
 // The design contract is zero cost on the hot path: every hook site calls
 // Hit, and with no injector registered Hit is one atomic pointer load and a
@@ -49,8 +49,6 @@ const (
 	// ServerHandler fires per admitted HTTP request, before the handler —
 	// injected latency holds an admission slot and starves the limiter.
 	ServerHandler
-	// ServerBatch fires in each batch-group goroutine before planning.
-	ServerBatch
 	// ServerCatalogPut fires between catalog analysis and publication,
 	// widening the window a catalog PUT races in-flight plans.
 	ServerCatalogPut
@@ -96,7 +94,6 @@ var pointNames = [numPoints]string{
 	"cache.flight",
 	"cache.add",
 	"server.handler",
-	"server.batch",
 	"server.catalog.put",
 	"server.shutdown",
 	"cluster.peer.rpc",

@@ -87,7 +87,7 @@ type Scenario struct {
 	Description string
 	// Rules builds the seeded fault schedule.
 	Rules func(seed int64) []chaos.Rule
-	// Tune adjusts the server config (limits, batching, workers).
+	// Tune adjusts the server config (limits, timeouts, workers).
 	Tune func(cfg *server.Config)
 	// TuneCluster adjusts each replica's cluster config (breaker windows,
 	// hint-drain cadence); only consulted when Cluster is set.
@@ -109,12 +109,6 @@ type Scenario struct {
 	// AllowInjectedFailures permits 400 responses whose body names the
 	// injected failure (scenarios with Fail rules).
 	AllowInjectedFailures bool
-	// StreamExecute routes the execute share of the load through the
-	// streaming POST /v2/execute instead of the buffered v1 shim, and
-	// validates the NDJSON framing: a complete stream must end in an "ok"
-	// trailer matching ground truth, and a faulted stream must end in a
-	// well-formed "error" trailer — never a silently truncated 200.
-	StreamExecute bool
 	// WantEvictions requires the planner caches to have recorded evictions
 	// (scenarios whose point is surviving cache loss).
 	WantEvictions bool
@@ -155,14 +149,10 @@ func Scenarios() []Scenario {
 			Rules: func(seed int64) []chaos.Rule {
 				return []chaos.Rule{
 					{Point: chaos.CacheFlight, Prob: 0.6, Effect: chaos.Delay, Delay: 15 * time.Millisecond, Jitter: 10 * time.Millisecond},
-					{Point: chaos.ServerBatch, Prob: 0.4, Effect: chaos.Delay, Jitter: 5 * time.Millisecond},
 					{Point: chaos.CostFamilyAt, Prob: 0.5, Effect: chaos.Delay, Jitter: 3 * time.Millisecond},
 				}
 			},
-			Tune: func(cfg *server.Config) {
-				cfg.BatchWindow = time.Millisecond
-			},
-			Require:           []chaos.Point{chaos.CacheFlight, chaos.ServerBatch},
+			Require:           []chaos.Point{chaos.CacheFlight},
 			ClientCancelEvery: 3,
 			ClientCancelAfter: 8 * time.Millisecond,
 		},
@@ -186,12 +176,8 @@ func Scenarios() []Scenario {
 			Rules: func(seed int64) []chaos.Rule {
 				return []chaos.Rule{
 					{Point: chaos.ServerCatalogPut, Prob: 0.7, Effect: chaos.Delay, Jitter: 3 * time.Millisecond},
-					{Point: chaos.ServerBatch, Prob: 0.5, Effect: chaos.Delay, Jitter: 2 * time.Millisecond},
 					{Point: chaos.CacheFlight, Prob: 0.3, Effect: chaos.Delay, Jitter: 3 * time.Millisecond},
 				}
-			},
-			Tune: func(cfg *server.Config) {
-				cfg.BatchWindow = time.Millisecond
 			},
 			Require: []chaos.Point{chaos.ServerCatalogPut},
 			Churn:   true,
@@ -217,11 +203,9 @@ func Scenarios() []Scenario {
 				return []chaos.Rule{
 					{Point: chaos.ServerShutdown, Prob: 1, Effect: chaos.Delay, Delay: 30 * time.Millisecond},
 					{Point: chaos.ServerHandler, Prob: 0.5, Effect: chaos.Delay, Jitter: 8 * time.Millisecond},
-					{Point: chaos.ServerBatch, Prob: 0.5, Effect: chaos.Delay, Jitter: 5 * time.Millisecond},
 				}
 			},
 			Tune: func(cfg *server.Config) {
-				cfg.BatchWindow = time.Millisecond
 				cfg.ShutdownTimeout = 2 * time.Second
 			},
 			Require:     []chaos.Point{chaos.ServerHandler, chaos.ServerShutdown},
@@ -239,7 +223,6 @@ func Scenarios() []Scenario {
 			},
 			Require:               []chaos.Point{chaos.EngineBatch},
 			AllowInjectedFailures: true,
-			StreamExecute:         true,
 		},
 		{
 			Name:        "peer-partition",
@@ -655,7 +638,7 @@ func Run(sc Scenario, opt Options) error {
 	}
 
 	// Shutdown drains within its timeout, then the goroutine baseline is
-	// restored (no leaked workers, batch groups, or handlers).
+	// restored (no leaked workers, flights, or handlers).
 	cancel()
 	start := time.Now()
 	if t := shutdownAt.Load(); t != 0 {
@@ -721,10 +704,7 @@ func fireRequest(client *http.Client, base string, it workloadItem, execute, can
 	path, body := "/v1/plan", server.PlanRequest{Tenant: it.tenant, Query: it.text, K: it.k}
 	payload, _ := json.Marshal(body)
 	if execute {
-		path = "/v1/execute"
-		if sc.StreamExecute {
-			path = "/v2/execute"
-		}
+		path = "/v2/execute"
 	}
 	ctx := context.Background()
 	if cancelled {
@@ -767,21 +747,22 @@ func fireRequest(client *http.Client, base string, it workloadItem, execute, can
 		return
 	}
 	tal.code(resp.StatusCode)
-	if execute && sc.StreamExecute {
+	if execute {
 		verifyStream(path, it, resp.StatusCode, raw, sc, tal)
 		return
 	}
-	verifyResponse(path, it, execute, resp.StatusCode, raw, sc, tal)
+	verifyResponse(path, it, resp.StatusCode, raw, sc, tal)
 }
 
 // verifyStream validates a /v2/execute NDJSON response: pre-stream
 // failures are plain JSON errors handled like any endpoint's; a 200 must
-// be a header frame, optional row frames, and exactly one trailer — "ok"
-// matching ground truth, or a structured error naming the injected fault.
-// A 200 with no trailer is the cardinal sin: a silently truncated answer.
+// be a header frame carrying the baseline cost, optional row frames, and
+// exactly one trailer — "ok" matching ground truth, or a structured error
+// naming the injected fault. A 200 with no trailer is the cardinal sin: a
+// silently truncated answer.
 func verifyStream(path string, it workloadItem, code int, raw []byte, sc Scenario, tal *tally) {
 	if code != http.StatusOK {
-		verifyResponse(path, it, false, code, raw, sc, tal)
+		verifyResponse(path, it, code, raw, sc, tal)
 		return
 	}
 	if it.infeasible {
@@ -807,6 +788,14 @@ func verifyStream(path string, it workloadItem, code int, raw []byte, sc Scenari
 		}
 		switch probe.Frame {
 		case "header":
+			var hf server.ExecStreamHeader
+			if err := json.Unmarshal(line, &hf); err != nil {
+				tal.fail("%s %s: bad header: %v", path, it.tenant, err)
+				return
+			}
+			if hf.EstimatedCost != it.cost {
+				tal.fail("%s %s k=%d: cost %v, baseline %v", path, it.tenant, it.k, hf.EstimatedCost, it.cost)
+			}
 			sawHeader = true
 		case "rows":
 			if !sawHeader {
@@ -860,47 +849,29 @@ func verifyStream(path string, it workloadItem, code int, raw []byte, sc Scenari
 
 // verifyResponse checks one response against ground truth and the
 // scenario's allowed failure modes.
-func verifyResponse(path string, it workloadItem, execute bool, code int, raw []byte, sc Scenario, tal *tally) {
+func verifyResponse(path string, it workloadItem, code int, raw []byte, sc Scenario, tal *tally) {
 	switch code {
 	case http.StatusOK:
 		if it.infeasible {
 			tal.fail("%s %s k=%d: 200 for an infeasible structure (negative-cache unsoundness)", path, it.tenant, it.k)
 			return
 		}
-		if execute {
-			var er server.ExecuteResponse
-			if err := json.Unmarshal(raw, &er); err != nil {
-				tal.fail("%s %s: bad body: %v", path, it.tenant, err)
-				return
-			}
-			if it.boolean {
-				if er.Boolean == nil || *er.Boolean != it.verdict {
-					tal.fail("%s %s k=%d: boolean %v, baseline %v", path, it.tenant, it.k, er.Boolean, it.verdict)
-				}
-			} else if er.RowCount != it.rows {
-				tal.fail("%s %s k=%d: rowCount %d, baseline %d", path, it.tenant, it.k, er.RowCount, it.rows)
-			}
-			if er.EstimatedCost != it.cost {
-				tal.fail("%s %s k=%d: cost %v, baseline %v", path, it.tenant, it.k, er.EstimatedCost, it.cost)
-			}
-		} else {
-			var pr server.PlanResponse
-			if err := json.Unmarshal(raw, &pr); err != nil {
-				tal.fail("%s %s: bad body: %v", path, it.tenant, err)
-				return
-			}
-			got, err := json.Marshal(pr.Plan)
-			if err != nil {
-				tal.fail("%s %s: re-marshal: %v", path, it.tenant, err)
-				return
-			}
-			if !bytes.Equal(got, it.planJSON) {
-				tal.fail("%s %s k=%d: plan deviates from chaos-free baseline:\n  got  %s\n  want %s",
-					path, it.tenant, it.k, got, it.planJSON)
-			}
-			if pr.EstimatedCost != it.cost {
-				tal.fail("%s %s k=%d: cost %v, baseline %v", path, it.tenant, it.k, pr.EstimatedCost, it.cost)
-			}
+		var pr server.PlanResponse
+		if err := json.Unmarshal(raw, &pr); err != nil {
+			tal.fail("%s %s: bad body: %v", path, it.tenant, err)
+			return
+		}
+		got, err := json.Marshal(pr.Plan)
+		if err != nil {
+			tal.fail("%s %s: re-marshal: %v", path, it.tenant, err)
+			return
+		}
+		if !bytes.Equal(got, it.planJSON) {
+			tal.fail("%s %s k=%d: plan deviates from chaos-free baseline:\n  got  %s\n  want %s",
+				path, it.tenant, it.k, got, it.planJSON)
+		}
+		if pr.EstimatedCost != it.cost {
+			tal.fail("%s %s k=%d: cost %v, baseline %v", path, it.tenant, it.k, pr.EstimatedCost, it.cost)
 		}
 	case http.StatusUnprocessableEntity:
 		if !it.infeasible {

@@ -15,7 +15,7 @@ import (
 )
 
 // Race hammer for the catalog registry: concurrent PUT /v1/catalogs/{tenant}
-// against in-flight /v1/plan and /v1/execute on the same tenant. Every PUT
+// against in-flight /v1/plan and /v2/execute on the same tenant. Every PUT
 // re-uploads the same catalog text, so whatever version a plan snapshots,
 // the statistics are identical and the plan bytes must never change; PUT
 // acknowledgements must carry strictly increasing versions. Run under -race
@@ -28,7 +28,6 @@ func TestCatalogPutRacesInFlightPlans(t *testing.T) {
 		cfg  Config
 	}{
 		{name: "direct", cfg: Config{}},
-		{name: "batched", cfg: Config{BatchWindow: time.Millisecond}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, ts := newTestServer(t, tc.cfg)
@@ -98,9 +97,8 @@ func TestCatalogPutRacesInFlightPlans(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < ops; i++ {
 						if i%3 == 2 {
-							resp := postJSON(t, ts, "/v1/execute", ExecuteRequest{Tenant: "acme", Query: triangleQuery, K: 3})
-							out := decodeAs[ExecuteResponse](t, resp, http.StatusOK)
-							if out.RowCount != 2 {
+							st := readStream(t, postJSON(t, ts, "/v2/execute", ExecuteRequest{Tenant: "acme", Query: triangleQuery, K: 3}))
+							if st.trailer.Status != "ok" || st.trailer.RowCount != 2 || len(st.rows) != 2 {
 								errc <- "execute row count changed under churn"
 							}
 							continue
@@ -183,7 +181,7 @@ end
 // delta-invalidation paths (result-cache carry, plan re-key skip, column
 // store advance) against concurrent readers.
 func TestCatalogDeltaRacesInFlightStreams(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: time.Millisecond})
+	_, ts := newTestServer(t, Config{})
 	uploadCatalog(t, ts, "acme", deltaTriangleA)
 
 	unregister := chaos.Register(chaos.NewSchedule(11,

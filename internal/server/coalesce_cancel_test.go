@@ -7,95 +7,29 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/chaos"
-	"repro/internal/cq"
-	"repro/internal/db"
 )
 
-// Audit trail for the coalescing/cancellation interaction: a batch member
-// that gives up (its context cancels while the group is planning) must not
-// poison its coalesced peers. The design relies on two properties — group
-// delivery uses buffered(1) channels so an absent receiver never blocks the
-// fan-out, and submit's early return on ctx.Done abandons only that
-// member's receive, not the group computation. These tests pin both, with
-// an injected delay holding the group's plan mid-flight so the
-// cancellation deterministically lands while the computation is running.
+// Audit trail for the coalescing/cancellation interaction: a request that
+// gives up (its context cancels while the shared computation is running)
+// must not poison the requests coalesced with it. Concurrent misses on one
+// canonical plan key join the Planner's singleflight, whose search runs to
+// completion in its own goroutine whatever happens to the waiters. These
+// tests pin that, with an injected delay holding the singleflight compute
+// mid-flight so the cancellation deterministically lands while the
+// computation is running.
 
-func testCatalog(t *testing.T) *db.Catalog {
-	t.Helper()
-	cat, err := db.ReadCatalog(strings.NewReader(triangleCatalog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.AnalyzeAll(); err != nil {
-		t.Fatal(err)
-	}
-	return cat
-}
-
-// TestBatcherCancelledMemberDoesNotPoisonPeer drives the batcher directly:
-// two members coalesce into one group, the group's computation is delayed
-// by injection, and one member cancels mid-flight. The survivor must get
-// the real plan; the canceller must get its context error; close must not
-// deadlock afterwards.
-func TestBatcherCancelledMemberDoesNotPoisonPeer(t *testing.T) {
-	unregister := chaos.Register(chaos.NewSchedule(1,
-		chaos.Rule{Point: chaos.ServerBatch, Prob: 1, Effect: chaos.Delay, Delay: 60 * time.Millisecond},
-	))
-	defer unregister()
-
-	cat := testCatalog(t)
-	q := cq.MustParse(triangleQuery)
-	planner := cache.NewPlanner(cache.Options{})
-	b := newPlanBatcher(20*time.Millisecond, 32)
-	defer b.close()
-
-	mk := func() *batchReq {
-		probe, err := planner.ProbePlan(q, cat, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &batchReq{planner: planner, probe: probe, out: make(chan batchOut, 1)}
-	}
-	cancelCtx, cancel := context.WithCancel(context.Background())
-	cancelled := make(chan batchOut, 1)
-	survived := make(chan batchOut, 1)
-	go func() { cancelled <- b.submit(cancelCtx, mk()) }()
-	go func() { survived <- b.submit(context.Background(), mk()) }()
-	// Let both members join the batch and the injected delay start, then
-	// cancel one mid-computation.
-	time.Sleep(30 * time.Millisecond)
-	cancel()
-
-	o := <-cancelled
-	if !errors.Is(o.err, context.Canceled) {
-		t.Fatalf("cancelled member: got err %v, want context.Canceled", o.err)
-	}
-	o = <-survived
-	if o.err != nil {
-		t.Fatalf("surviving peer poisoned by cancelled member: %v", o.err)
-	}
-	if o.plan == nil || o.plan.Decomp == nil {
-		t.Fatal("surviving peer got no plan")
-	}
-	if w := o.plan.Decomp.Width(); w < 1 || w > 3 {
-		t.Fatalf("surviving peer plan width %d outside [1,3]", w)
-	}
-}
-
-// TestCancelledRequestDoesNotPoisonCoalescedPeerHTTP replays the same race
-// end to end: two identical /v1/plan requests coalesce in the batch window,
-// the singleflight compute is held by injection, one client times out. The
-// peer must receive the correct plan, and a later chaos-free request must
-// be served the same bytes from cache — proving the cancellation neither
-// corrupted nor evicted the shared result.
+// TestCancelledRequestDoesNotPoisonCoalescedPeerHTTP drives the race end to
+// end: two identical /v1/plan requests coalesce in the singleflight,
+// whose compute is held by injection, and one client times out. The peer
+// must receive the correct plan from the one shared search, and a later
+// chaos-free request must be served the same bytes from cache — proving
+// the cancellation neither corrupted nor evicted the shared result.
 func TestCancelledRequestDoesNotPoisonCoalescedPeerHTTP(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: 25 * time.Millisecond})
+	s, ts := newTestServer(t, Config{})
 	uploadCatalog(t, ts, "acme", triangleCatalog)
 
 	unregister := chaos.Register(chaos.NewSchedule(1,
@@ -142,6 +76,9 @@ func TestCancelledRequestDoesNotPoisonCoalescedPeerHTTP(t *testing.T) {
 		t.Fatal("peer got no plan")
 	}
 	peerBytes, _ := json.Marshal(peer.Plan)
+	if c := s.PlannerStats().Plans.Computations; c != 1 {
+		t.Fatalf("plan computations = %d, want 1: the requests did not coalesce", c)
+	}
 
 	// Chaos off: the same request again must hit the cache and return the
 	// same bytes — the cancelled member neither failed nor falsified the
@@ -164,7 +101,7 @@ func TestCancelledRequestDoesNotPoisonCoalescedPeerHTTP(t *testing.T) {
 	}
 }
 
-// TestCancelledSoloRequestLeavesCacheUsable covers the no-batcher path: the
+// TestCancelledSoloRequestLeavesCacheUsable covers the uncoalesced path: the
 // handler's context cancels while the singleflight compute is held; the
 // computation still completes in its own goroutine and later requests are
 // served from a healthy cache.

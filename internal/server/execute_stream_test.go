@@ -6,7 +6,13 @@ import (
 	"net/http"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/cq"
+	"repro/internal/db"
+	"repro/internal/engine"
 )
 
 // streamFrames decodes a /v2/execute NDJSON body into its typed frames.
@@ -89,17 +95,30 @@ func sortRows(rows [][]int32) {
 	})
 }
 
-// The v2 stream and the v1 buffered shim must agree byte-for-byte on the
-// answer, and the stream must be properly framed.
+// The v2 stream must agree with the buffered row engine on the answer,
+// and the stream must be properly framed.
 func TestExecuteStreamMatchesBuffered(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	uploadCatalog(t, ts, "acme", triangleCatalog)
 	req := ExecuteRequest{Tenant: "acme", Query: triangleQuery, K: 2}
-
-	// v2 first so it evaluates fresh (the oracle call would otherwise
-	// populate the result cache and the stream would replay it).
 	st := readStream(t, postJSON(t, ts, "/v2/execute", req))
-	v1 := decodeAs[ExecuteResponse](t, postJSON(t, ts, "/v1/execute", req), http.StatusOK)
+
+	// Oracle: plan the same query locally and drain the buffered evaluator.
+	cat, err := db.ReadCatalog(strings.NewReader(triangleCatalog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.AnalyzeAll(); err != nil {
+		t.Fatal(err)
+	}
+	plan, _, err := cache.NewPlanner(cache.Options{}).PlanCached(cq.MustParse(triangleQuery), cat, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.EvalDecomposition(plan.Decomp, plan.Query, cat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if st.header.Tenant != "acme" || st.header.K != 2 || st.header.CatalogVersion != 1 {
 		t.Fatalf("header = %+v", st.header)
@@ -119,10 +138,10 @@ func TestExecuteStreamMatchesBuffered(t *testing.T) {
 	if st.trailer.Metrics == nil || st.trailer.Metrics.Batches == 0 {
 		t.Fatalf("trailer metrics = %+v", st.trailer.Metrics)
 	}
-	sortRows(v1.Rows)
+	sortRows(want.Tuples)
 	sortRows(st.rows)
-	if !reflect.DeepEqual(v1.Rows, st.rows) {
-		t.Fatalf("v2 rows %v != v1 rows %v", st.rows, v1.Rows)
+	if !reflect.DeepEqual(want.Tuples, st.rows) {
+		t.Fatalf("v2 rows %v != buffered engine rows %v", st.rows, want.Tuples)
 	}
 	if len(st.rows) == 0 {
 		t.Fatal("triangle query should produce rows")
@@ -165,13 +184,8 @@ func TestExecuteResultCacheRepeatAndRename(t *testing.T) {
 		t.Fatalf("renamed rows %v != original %v", rn.rows, first.rows)
 	}
 
-	// The v1 shim shares the same cache.
-	v1 := decodeAs[ExecuteResponse](t, postJSON(t, ts, "/v1/execute", req), http.StatusOK)
-	if !v1.ResultCached {
-		t.Fatal("v1 shim missed the shared result cache")
-	}
 	stats := getStats(t, ts)
-	if stats.Results == nil || stats.Results.Hits < 3 || stats.Results.Inserts == 0 {
+	if stats.Results == nil || stats.Results.Hits < 2 || stats.Results.Inserts == 0 {
 		t.Fatalf("result cache stats = %+v", stats.Results)
 	}
 }
@@ -214,23 +228,6 @@ end
 	}
 }
 
-// The v1 endpoint survives as a deprecated shim over the streaming engine.
-func TestExecuteV1DeprecatedShim(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	uploadCatalog(t, ts, "acme", triangleCatalog)
-	resp := postJSON(t, ts, "/v1/execute", ExecuteRequest{Tenant: "acme", Query: triangleQuery, K: 2})
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); link != `</v2/execute>; rel="successor-version"` {
-		t.Fatalf("Link header = %q", link)
-	}
-	out := decodeAs[ExecuteResponse](t, resp, http.StatusOK)
-	if out.RowCount != 2 || out.Metrics.Batches == 0 {
-		t.Fatalf("shim response = %+v", out)
-	}
-}
-
 // Boolean queries stream a header and a trailer carrying the verdict, and
 // the verdict is result-cached like any answer.
 func TestExecuteStreamBoolean(t *testing.T) {
@@ -268,10 +265,16 @@ func TestErrorEnvelope(t *testing.T) {
 		t.Fatalf("v2 envelope = %+v", bad.Error)
 	}
 	missing := decodeAs[ErrorResponse](t,
-		postJSON(t, ts, "/v1/execute", ExecuteRequest{Tenant: "ghost", Query: triangleQuery}),
+		postJSON(t, ts, "/v2/execute", ExecuteRequest{Tenant: "ghost", Query: triangleQuery}),
 		http.StatusNotFound)
 	if missing.Error.Code != "not_found" {
-		t.Fatalf("v1 envelope = %+v", missing.Error)
+		t.Fatalf("v2 envelope = %+v", missing.Error)
+	}
+	infeasible := decodeAs[ErrorResponse](t,
+		postJSON(t, ts, "/v1/plan", PlanRequest{Tenant: "acme", Query: triangleQuery, K: 1}),
+		http.StatusUnprocessableEntity)
+	if infeasible.Error.Code != "infeasible" {
+		t.Fatalf("v1 envelope = %+v", infeasible.Error)
 	}
 }
 

@@ -9,15 +9,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/chaos"
-	"repro/internal/cq"
 )
 
 // Serve on a random port, answer a request, cancel the context: graceful
-// shutdown must return nil and free the batcher.
+// shutdown must return nil within its bound.
 func TestServeGracefulShutdown(t *testing.T) {
-	s := New(Config{BatchWindow: time.Millisecond, Log: nil})
+	s := New(Config{Log: nil})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- s.ListenAndServe(ctx, "127.0.0.1:0") }()
@@ -47,16 +45,6 @@ func TestServeGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("shutdown did not complete")
-	}
-
-	// The batcher must be stopped: submits fail instead of hanging.
-	if s.batcher == nil {
-		t.Fatal("batcher expected with BatchWindow > 0")
-	}
-	select {
-	case <-s.batcher.done:
-	default:
-		t.Fatal("batcher loop still running after shutdown")
 	}
 }
 
@@ -181,56 +169,10 @@ func TestShutdownTimeoutExpiresWithSlowRequest(t *testing.T) {
 	}
 }
 
-// Shutdown with requests still in the batcher: a request already inside the
-// collect window is dispatched and answered, not dropped; a request
-// submitted after close fails fast with the shutdown error instead of
-// hanging on a dead loop.
-func TestBatcherShutdownDrainsCollectedRequests(t *testing.T) {
-	cat := testCatalog(t)
-	q := cq.MustParse(triangleQuery)
-	planner := cache.NewPlanner(cache.Options{})
-	b := newPlanBatcher(150*time.Millisecond, 32)
-
-	mk := func() *batchReq {
-		probe, err := planner.ProbePlan(q, cat, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &batchReq{planner: planner, probe: probe, out: make(chan batchOut, 1)}
-	}
-	out := make(chan batchOut, 1)
-	go func() { out <- b.submit(context.Background(), mk()) }()
-	// Let the loop pick the request into its window, then close mid-window.
-	time.Sleep(20 * time.Millisecond)
-	closed := make(chan struct{})
-	go func() { b.close(); close(closed) }()
-
-	select {
-	case o := <-out:
-		if o.err != nil {
-			t.Fatalf("collected request dropped by shutdown: %v", o.err)
-		}
-		if o.plan == nil {
-			t.Fatal("collected request answered without a plan")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("collected request hung across shutdown")
-	}
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("batcher close hung")
-	}
-
-	if o := b.submit(context.Background(), mk()); !errors.Is(o.err, errBatcherClosed) {
-		t.Fatalf("post-close submit: got err %v, want errBatcherClosed", o.err)
-	}
-}
-
 // Shutdown is idempotent: Serve's own Close plus any number of explicit
 // Close calls (concurrently, even) must neither panic nor hang.
 func TestDoubleShutdownIsIdempotent(t *testing.T) {
-	s := New(Config{BatchWindow: time.Millisecond})
+	s := New(Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- s.ListenAndServe(ctx, "127.0.0.1:0") }()

@@ -43,14 +43,14 @@ func TestServerSelfJoinEndToEnd(t *testing.T) {
 		t.Fatalf("degenerate plan response: %+v", plan)
 	}
 
-	exec := decodeAs[ExecuteResponse](t, postJSON(t, ts, "/v1/execute",
-		ExecuteRequest{Tenant: "acme", Query: path.Query, K: 2}), http.StatusOK)
-	if !exec.CacheHit {
+	exec := readStream(t, postJSON(t, ts, "/v2/execute",
+		ExecuteRequest{Tenant: "acme", Query: path.Query, K: 2}))
+	if !exec.header.CacheHit {
 		t.Error("execute after plan of the same text should hit the plan cache")
 	}
 	want := rowSet([][]int32{{1, 3}, {1, 1}, {2, 1}, {2, 2}, {3, 2}})
-	if got := rowSet(exec.Rows); got != want || exec.RowCount != 5 {
-		t.Fatalf("path rows = %s (count %d), want %s", got, exec.RowCount, want)
+	if got := rowSet(exec.rows); got != want || exec.trailer.RowCount != 5 {
+		t.Fatalf("path rows = %s (count %d), want %s", got, exec.trailer.RowCount, want)
 	}
 
 	// Alias+variable-renamed variant: same structure, fresh names → hit.
@@ -62,9 +62,9 @@ func TestServerSelfJoinEndToEnd(t *testing.T) {
 	if rplan.EstimatedCost != plan.EstimatedCost {
 		t.Fatalf("renamed cost %v != original %v", rplan.EstimatedCost, plan.EstimatedCost)
 	}
-	rexec := decodeAs[ExecuteResponse](t, postJSON(t, ts, "/v1/execute",
-		ExecuteRequest{Tenant: "acme", Query: renamed.Query, K: 2}), http.StatusOK)
-	if got := rowSet(rexec.Rows); got != want {
+	rexec := readStream(t, postJSON(t, ts, "/v2/execute",
+		ExecuteRequest{Tenant: "acme", Query: renamed.Query, K: 2}))
+	if got := rowSet(rexec.rows); got != want {
 		t.Fatalf("renamed variant rows = %s, want %s", got, want)
 	}
 }
@@ -77,21 +77,21 @@ func TestServerSelfJoinTriangle(t *testing.T) {
 	uploadCatalog(t, ts, "acme", edgeCatalog)
 
 	tri := ExecuteRequest{Tenant: "acme", Query: "ans(X,Y,Z) :- e AS e1(X,Y), e AS e2(Y,Z), e AS e3(Z,X).", K: 2}
-	exec := decodeAs[ExecuteResponse](t, postJSON(t, ts, "/v1/execute", tri), http.StatusOK)
-	if exec.CacheHit {
+	exec := readStream(t, postJSON(t, ts, "/v2/execute", tri))
+	if exec.header.CacheHit {
 		t.Fatal("cold triangle reported a cache hit")
 	}
 	// The only directed triangle is 1→2→3→1, seen from its three rotations.
 	want := rowSet([][]int32{{1, 2, 3}, {2, 3, 1}, {3, 1, 2}})
-	if got := rowSet(exec.Rows); got != want || exec.RowCount != 3 {
-		t.Fatalf("triangle rows = %s (count %d), want %s", got, exec.RowCount, want)
+	if got := rowSet(exec.rows); got != want || exec.trailer.RowCount != 3 {
+		t.Fatalf("triangle rows = %s (count %d), want %s", got, exec.trailer.RowCount, want)
 	}
 
 	// Boolean form, bare duplicates: the wire accepts auto-aliased input.
 	boolReq := ExecuteRequest{Tenant: "acme", Query: "ans :- e(X,Y), e(Y,Z), e(Z,X).", K: 2}
-	bexec := decodeAs[ExecuteResponse](t, postJSON(t, ts, "/v1/execute", boolReq), http.StatusOK)
-	if bexec.Boolean == nil || !*bexec.Boolean {
-		t.Fatalf("boolean triangle = %+v, want true", bexec.Boolean)
+	bexec := readStream(t, postJSON(t, ts, "/v2/execute", boolReq))
+	if bexec.trailer.Boolean == nil || !*bexec.trailer.Boolean {
+		t.Fatalf("boolean triangle = %+v, want true", bexec.trailer.Boolean)
 	}
 
 	// Renamed rotation of the output triangle: plan-cache hit.

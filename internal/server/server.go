@@ -2,7 +2,7 @@
 // is that a decomposition-based plan is expensive enough to compute once
 // and reuse, and this subsystem is where the reuse happens at scale — a
 // JSON API over the canonical-form Planner with per-tenant catalogs,
-// request coalescing (micro-batching above the cache's singleflight),
+// request coalescing (the cache's singleflight on the canonical plan key),
 // admission control, request timeouts, graceful shutdown, and Prometheus
 // metrics export.
 //
@@ -10,7 +10,6 @@
 //
 //	POST /v1/plan               query text + k → serialized optimal plan
 //	POST /v1/decompose          hypergraph text + k → NF decomposition
-//	POST /v1/execute            buffered execute (deprecated; drains /v2)
 //	POST /v2/execute            streaming execute (NDJSON header/rows/trailer)
 //	PUT  /v1/catalogs/{tenant}  upload a catalog wholesale (db wire format)
 //	PATCH /v1/catalogs/{tenant} apply a per-relation delta (data and/or
@@ -73,11 +72,6 @@ type Config struct {
 	// Admission layers per-tenant token-bucket budgets and priority
 	// shedding on top of the global limiter. The zero value disables both.
 	Admission AdmissionConfig
-	// BatchWindow, when > 0, enables micro-batching of /v1/plan: concurrent
-	// requests are collected for the window and identical ones planned once.
-	BatchWindow time.Duration
-	// MaxBatch bounds requests per batch (default 32).
-	MaxBatch int
 	// MaxBodyBytes bounds request bodies (default 32 MiB).
 	MaxBodyBytes int64
 	// ResultCacheBytes bounds the result cache: complete query answers
@@ -123,9 +117,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 256
 	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 32
-	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
@@ -142,7 +133,6 @@ type Server struct {
 	planners  *cache.PlannerSet
 	catalogs  *db.Registry
 	metrics   *metricsRegistry
-	batcher   *planBatcher
 	limiter   chan struct{}
 	admit     *admission     // nil unless Config.Admission enables it
 	dist      *distTier      // nil unless Cluster or DataDir is configured
@@ -175,7 +165,7 @@ func Open(cfg Config) (*Server, error) {
 		planners: cache.NewPlannerSet(cfg.Planner, cfg.IsolateTenants),
 		catalogs: db.NewRegistry(),
 		metrics: newMetricsRegistry([]string{
-			"plan", "decompose", "execute", "execute_stream", "catalogs", "stats", "metrics", "healthz", "readyz",
+			"plan", "decompose", "execute_stream", "catalogs", "stats", "metrics", "healthz", "readyz",
 		}),
 		results:   newResultCache(cfg.ResultCacheBytes),
 		colstores: newColStoreCache(0),
@@ -184,9 +174,6 @@ func Open(cfg Config) (*Server, error) {
 		s.limiter = make(chan struct{}, cfg.MaxInFlight)
 	}
 	s.admit = newAdmission(cfg.Admission, s.limiter)
-	if cfg.BatchWindow > 0 {
-		s.batcher = newPlanBatcher(cfg.BatchWindow, cfg.MaxBatch)
-	}
 	if cfg.Cluster != nil || cfg.DataDir != "" {
 		if cfg.IsolateTenants {
 			s.Close()
@@ -232,7 +219,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/plan", s.route("plan", true, s.handlePlan))
 	mux.Handle("POST /v1/decompose", s.route("decompose", true, s.handleDecompose))
-	mux.Handle("POST /v1/execute", s.route("execute", true, s.handleExecute))
 	// /v2/execute streams: it must not run under http.TimeoutHandler, which
 	// buffers the whole response and hides http.Flusher. A context-deadline
 	// wrapper bounds it instead, checked between row batches.
@@ -277,7 +263,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 }
 
 // Serve serves on l until ctx is canceled, then drains in-flight requests
-// (bounded by ShutdownTimeout) and releases the batcher.
+// (bounded by ShutdownTimeout) and releases background resources.
 func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	s.addr.Store(l.Addr())
 	if s.cfg.Log != nil {
@@ -315,14 +301,10 @@ func (s *Server) Addr() net.Addr {
 	return a
 }
 
-// Close releases background resources — the batcher, the push queue, the
-// peer RPC server and client, and the persistent store (idempotent; Serve
-// calls it).
+// Close releases background resources — the push queue, the peer RPC
+// server and client, and the persistent store (idempotent; Serve calls it).
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		if s.batcher != nil {
-			s.batcher.close()
-		}
 		if s.dist != nil {
 			s.dist.teardown()
 		}
@@ -476,19 +458,18 @@ func planError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, core.ErrNoDecomposition):
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-	case errors.Is(err, errBatcherClosed), errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
 		writeError(w, http.StatusBadRequest, "%v", err)
 	}
 }
 
-// plan runs the planning path shared by /v1/plan and /v1/execute: the
+// plan runs the planning path shared by /v1/plan and /v2/execute: the
 // request is canonicalized exactly once into a PlanProbe, and every later
-// stage — warm lookup, peer warm-fill, the micro-batcher, the cold search
-// — works from that probe. Uncacheable queries (unaliased self-joins)
-// bypass probe, batcher, and ring on the planner's direct path.
+// stage — warm lookup, peer warm-fill, the cold search — works from that
+// probe. Uncacheable queries (unaliased self-joins) bypass probe and ring
+// on the planner's direct path.
 func (s *Server) plan(ctx context.Context, tenant string, q *cq.Query, cat *db.Catalog, k int) (*cost.Plan, bool, error) {
 	planner := s.planners.For(tenant)
 	probe, err := planner.ProbePlan(q, cat, k)
@@ -502,8 +483,10 @@ func (s *Server) plan(ctx context.Context, tenant string, q *cq.Query, cat *db.C
 }
 
 // planProbed serves an already-canonicalized request: warm-local → peer
-// warm-fill → cold (micro-batched when enabled), with the distributed
-// tier's write-through persistence and owner push after a cold result.
+// warm-fill → cold, with the distributed tier's write-through persistence
+// and owner push after a cold result. The cold search coalesces in the
+// Planner's singleflight on the canonical plan key, so concurrent renamed
+// and alias-renamed variants of one structure share a single computation.
 func (s *Server) planProbed(ctx context.Context, planner *cache.Planner, probe *cache.PlanProbe) (*cost.Plan, bool, error) {
 	if plan, ok, err := planner.LookupPlan(probe); ok {
 		return plan, true, err
@@ -513,27 +496,11 @@ func (s *Server) planProbed(ctx context.Context, planner *cache.Planner, probe *
 			return plan, true, herr
 		}
 	}
-	plan, hit, err := s.planCold(ctx, planner, probe)
+	plan, hit, err := planner.ComputePlan(probe)
 	if s.dist != nil {
 		s.dist.afterCold(probe, err)
 	}
 	return plan, hit, err
-}
-
-// planCold runs the cold half: through the micro-batcher when enabled —
-// which groups concurrent requests by canonical plan key, so renamed and
-// alias-renamed variants of one structure coalesce into a single batch
-// slot — else straight into the Planner's singleflight.
-func (s *Server) planCold(ctx context.Context, planner *cache.Planner, probe *cache.PlanProbe) (*cost.Plan, bool, error) {
-	if s.batcher != nil {
-		o := s.batcher.submit(ctx, &batchReq{
-			planner: planner,
-			probe:   probe,
-			out:     make(chan batchOut, 1),
-		})
-		return o.plan, o.hit, o.err
-	}
-	return planner.ComputePlan(probe)
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -610,67 +577,6 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		CacheHit:      hit,
 		Decomposition: engine.SerializeDecomposition(d, nil),
 	})
-}
-
-// handleExecute is the deprecated buffered POST /v1/execute, kept as a
-// shim over the streaming engine: it drains the same pipeline /v2/execute
-// streams, buffers the rows, and answers in the old body shape. New
-// clients should follow the Link header to /v2/execute.
-func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v2/execute>; rel="successor-version"`)
-	p, ok := s.prepareExecute(w, r)
-	if !ok {
-		return
-	}
-	resp := ExecuteResponse{
-		Tenant: p.req.Tenant,
-		K:      p.k,
-		Node:   s.dist.nodeID(),
-	}
-	if p.cached != nil {
-		resp.EstimatedCost = p.cached.estimatedCost
-		resp.CacheHit = true
-		resp.ResultCached = true
-		resp.RowCount = len(p.cached.rows)
-		resp.Boolean = p.cached.boolean
-		if !p.q.IsBoolean() {
-			resp.Columns = p.q.Out
-			resp.Rows = p.cached.rows
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	var m engine.Metrics
-	st, err := s.openStream(p, &m)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	res, err := engine.Drain(st)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	resp.EstimatedCost = p.plan.EstimatedCost
-	resp.CacheHit = p.planHit
-	resp.Metrics = ExecuteMetrics{
-		Joins:              m.Joins,
-		Semijoins:          m.Semijoins,
-		IntermediateTuples: m.IntermediateTuples,
-		Batches:            m.Batches,
-	}
-	if p.q.IsBoolean() {
-		ans := engine.Answer(res)
-		resp.Boolean = &ans
-		s.cacheResult(p, nil, &ans, p.plan.EstimatedCost)
-	} else {
-		resp.Columns = res.Attrs
-		resp.Rows = res.Tuples
-		resp.RowCount = res.Card()
-		s.cacheResult(p, res.Tuples, nil, p.plan.EstimatedCost)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleCatalogPut(w http.ResponseWriter, r *http.Request) {

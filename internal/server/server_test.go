@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/db"
 )
@@ -237,40 +236,38 @@ func TestExecuteEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	uploadCatalog(t, ts, "acme", triangleCatalog)
 
-	out := decodeAs[ExecuteResponse](t,
-		postJSON(t, ts, "/v1/execute", ExecuteRequest{Tenant: "acme", Query: triangleQuery, K: 2}),
-		http.StatusOK)
-	if out.Boolean != nil {
+	out := readStream(t,
+		postJSON(t, ts, "/v2/execute", ExecuteRequest{Tenant: "acme", Query: triangleQuery, K: 2}))
+	if out.trailer.Boolean != nil {
 		t.Fatal("non-Boolean query answered with a Boolean")
 	}
-	if len(out.Columns) != 2 || out.Columns[0] != "X" || out.Columns[1] != "Y" {
-		t.Fatalf("columns = %v", out.Columns)
+	if len(out.header.Columns) != 2 || out.header.Columns[0] != "X" || out.header.Columns[1] != "Y" {
+		t.Fatalf("columns = %v", out.header.Columns)
 	}
 	// The triangle closes for (1,2) via Z=3 and (2,3) via Z=4.
 	want := map[[2]int32]bool{{1, 2}: true, {2, 3}: true}
-	if out.RowCount != 2 || len(out.Rows) != 2 {
-		t.Fatalf("rows = %v", out.Rows)
+	if out.trailer.RowCount != 2 || len(out.rows) != 2 {
+		t.Fatalf("rows = %v", out.rows)
 	}
-	for _, row := range out.Rows {
+	for _, row := range out.rows {
 		if !want[[2]int32{row[0], row[1]}] {
 			t.Fatalf("unexpected row %v", row)
 		}
 	}
-	if out.Metrics.Joins == 0 && out.Metrics.Semijoins == 0 {
-		t.Fatalf("metrics = %+v, want some operator counts", out.Metrics)
+	if m := out.trailer.Metrics; m == nil || (m.Joins == 0 && m.Semijoins == 0) {
+		t.Fatalf("metrics = %+v, want some operator counts", m)
 	}
 
-	boolOut := decodeAs[ExecuteResponse](t,
-		postJSON(t, ts, "/v1/execute", ExecuteRequest{
+	boolOut := readStream(t,
+		postJSON(t, ts, "/v2/execute", ExecuteRequest{
 			Tenant: "acme",
 			Query:  "ans :- r(X,Y), s(Y,Z), t(Z,X).",
 			K:      2,
-		}),
-		http.StatusOK)
-	if boolOut.Boolean == nil || !*boolOut.Boolean {
-		t.Fatalf("Boolean triangle answer = %v, want true", boolOut.Boolean)
+		}))
+	if boolOut.trailer.Boolean == nil || !*boolOut.trailer.Boolean {
+		t.Fatalf("Boolean triangle answer = %v, want true", boolOut.trailer.Boolean)
 	}
-	if len(boolOut.Rows) != 0 {
+	if len(boolOut.rows) != 0 {
 		t.Fatal("Boolean query leaked rows")
 	}
 }
@@ -326,14 +323,13 @@ func TestCrossTenantCoalescing(t *testing.T) {
 }
 
 // N concurrent identical requests on a cold server must coalesce into one
-// computation (singleflight below, batcher above — test both paths).
+// computation in the Planner's singleflight.
 func TestConcurrentPlanCoalescing(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"singleflight", Config{}},
-		{"batched", Config{BatchWindow: 2 * time.Millisecond}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			_, ts := newTestServer(t, mode.cfg)
@@ -371,7 +367,7 @@ func TestConcurrentPlanCoalescing(t *testing.T) {
 // Tenants uploading catalogs while others plan and execute: correctness is
 // "no race, no 5xx" (run under -race).
 func TestConcurrentTenantsUploadAndPlan(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: time.Millisecond})
+	_, ts := newTestServer(t, Config{})
 	tenants := []string{"a", "b", "c"}
 	for _, tn := range tenants {
 		uploadCatalog(t, ts, tn, triangleCatalog)
@@ -398,15 +394,17 @@ func TestConcurrentTenantsUploadAndPlan(t *testing.T) {
 					Tenant: tenants[(g+i)%len(tenants)], Query: triangleQuery, K: 2,
 				})
 				if i%3 == 0 {
-					path, payload = "/v1/execute", any(ExecuteRequest{
+					path, payload = "/v2/execute", any(ExecuteRequest{
 						Tenant: tenants[(g+i)%len(tenants)], Query: triangleQuery, K: 2,
 					})
 				}
 				resp := postJSON(t, ts, path, payload)
-				io.Copy(io.Discard, resp.Body)
+				body, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
 					errs <- fmt.Errorf("%s status %d", path, resp.StatusCode)
+				} else if path == "/v2/execute" && !bytes.Contains(body, []byte(`"status":"ok"`)) {
+					errs <- fmt.Errorf("%s trailer not ok: %s", path, body)
 				}
 			}
 		}(g)

@@ -14,16 +14,15 @@ import (
 	"repro/internal/engine"
 )
 
-// The execute paths. POST /v2/execute streams the answer as NDJSON frames —
+// The execute path. POST /v2/execute streams the answer as NDJSON frames —
 // header, row chunks, trailer — so a large answer never has to exist in
-// server memory at once; POST /v1/execute is kept as a deprecated shim that
-// drains the same pipeline into the old buffered body. Both consult the
-// result cache before planning: a repeat (or renamed-variant) execute on an
-// unchanged catalog replays the cached rows without planning or evaluating.
+// server memory at once. It consults the result cache before planning: a
+// repeat (or renamed-variant) execute on an unchanged catalog replays the
+// cached rows without planning or evaluating.
 
-// execPrep is the state shared by the execute handlers once the request has
-// cleared decoding, admission, parsing, width validation, catalog lookup,
-// and the result-cache probe. Exactly one of cached/plan is set.
+// execPrep is the execute handler's state once the request has cleared
+// decoding, admission, parsing, width validation, catalog lookup, and the
+// result-cache probe. Exactly one of cached/plan is set.
 type execPrep struct {
 	req     ExecuteRequest
 	q       *cq.Query
@@ -104,13 +103,6 @@ func (s *Server) prepareExecute(w http.ResponseWriter, r *http.Request) (*execPr
 func (s *Server) openStream(p *execPrep, m *engine.Metrics) (*engine.Stream, error) {
 	cs := s.colstores.storeFor(p.req.Tenant, p.version, p.cat)
 	return engine.EvalDecompositionStreamWith(cs, p.plan.Decomp, p.plan.Query, m)
-}
-
-// cacheResult inserts a completed answer. rows must be in head positional
-// order (they are: the engine emits q.Out order, and the plan key pins the
-// canonical head order across renamed variants).
-func (s *Server) cacheResult(p *execPrep, rows [][]db.Value, boolean *bool, estimatedCost float64) {
-	s.results.put(p.resKey, rows, boolean, estimatedCost)
 }
 
 // streamDeadline bounds a streaming handler with a request-context deadline
@@ -252,8 +244,11 @@ func (s *Server) handleExecuteStream(w http.ResponseWriter, r *http.Request) {
 		rowCount = 0
 		rows = nil
 	}
+	// Cached rows are in head positional order: the engine emits q.Out
+	// order, and the plan key pins the canonical head order across renamed
+	// variants.
 	if collect || (boolAns != nil && p.resKey != "") {
-		s.cacheResult(p, rows, boolAns, p.plan.EstimatedCost)
+		s.results.put(p.resKey, rows, boolAns, p.plan.EstimatedCost)
 	}
 	emit(trailer)
 }

@@ -20,8 +20,7 @@ type PlanRequest struct {
 
 // PlanResponse carries the serialized optimal plan. CacheHit reports
 // whether the planner served the request without running a new search
-// (plan-cache or negative-cache hit, joined singleflight, or a coalesced
-// batch member).
+// (plan-cache or negative-cache hit, or a joined singleflight).
 type PlanResponse struct {
 	Tenant         string           `json:"tenant"`
 	K              int              `json:"k"`
@@ -49,7 +48,7 @@ type DecomposeResponse struct {
 	Decomposition *engine.PlanNode `json:"decomposition"`
 }
 
-// ExecuteRequest is the body of POST /v1/execute: plan (through the cache)
+// ExecuteRequest is the body of POST /v2/execute: plan (through the cache)
 // and evaluate a query against the tenant's catalog.
 type ExecuteRequest struct {
 	Tenant string `json:"tenant"`
@@ -63,24 +62,6 @@ type ExecuteMetrics struct {
 	Semijoins          int   `json:"semijoins"`
 	IntermediateTuples int64 `json:"intermediateTuples"`
 	Batches            int64 `json:"batches,omitempty"` // streaming engine row batches
-}
-
-// ExecuteResponse carries the query answer: rows for a non-Boolean query,
-// Boolean for a Boolean one. This is the body of the deprecated buffered
-// POST /v1/execute; POST /v2/execute streams the same answer as NDJSON
-// frames (ExecStreamHeader / ExecStreamRows / ExecStreamTrailer).
-type ExecuteResponse struct {
-	Tenant        string         `json:"tenant"`
-	K             int            `json:"k"`
-	EstimatedCost float64        `json:"estimatedCost"`
-	CacheHit      bool           `json:"cacheHit"`               // plan served from the plan cache
-	ResultCached  bool           `json:"resultCached,omitempty"` // answer served from the result cache
-	Node          string         `json:"node,omitempty"`         // serving replica's cluster id
-	Columns       []string       `json:"columns,omitempty"`
-	Rows          [][]int32      `json:"rows,omitempty"`
-	RowCount      int            `json:"rowCount"`
-	Boolean       *bool          `json:"boolean,omitempty"`
-	Metrics       ExecuteMetrics `json:"metrics"`
 }
 
 // ExecStreamHeader is the first NDJSON frame of a POST /v2/execute
