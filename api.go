@@ -93,18 +93,6 @@ func MinimalSeeded[W any](h *Hypergraph, k int, taf TAF[W], seed int64) (*Decomp
 	return res.Decomp, res.Weight, nil
 }
 
-// MinimalParallel is Minimal evaluated with a level-parallel worker pool
-// (Section 5's parallelizability, in practical form). The TAF's functions
-// must be safe for concurrent use. workers ≤ 0 uses GOMAXPROCS.
-func MinimalParallel[W any](h *Hypergraph, k int, taf TAF[W], workers int) (*Decomposition, W, error) {
-	res, err := core.ParallelMinimalK(h, k, taf, core.ParallelOptions{Workers: workers})
-	if err != nil {
-		var zero W
-		return nil, zero, err
-	}
-	return res.Decomp, res.Weight, nil
-}
-
 // Threshold decides whether some width-≤k NF decomposition has weight ≤ t.
 func Threshold[W any](h *Hypergraph, k int, taf TAF[W], t W) (bool, error) {
 	return core.Threshold(h, k, taf, t, core.Options{})

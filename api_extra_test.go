@@ -6,31 +6,6 @@ import (
 	"testing"
 )
 
-func TestFacadeMinimalParallel(t *testing.T) {
-	h, err := ParseHypergraph("e1(A,B)\ne2(B,C)\ne3(C,A)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dSeq, wSeq, err := Minimal(h, 2, LexTAF(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dPar, wPar, err := MinimalParallel(h, 2, LexTAF(2), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wSeq[1] != wPar[1] || wSeq[0] != wPar[0] {
-		t.Errorf("parallel weight %v != sequential %v", wPar, wSeq)
-	}
-	if dSeq.String() != dPar.String() {
-		t.Error("parallel decomposition differs under deterministic ties")
-	}
-	// Default worker count.
-	if _, _, err := MinimalParallel(h, 2, WidthTAF(), 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFacadeCatalogIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	cat := triangleCatalog(rng)

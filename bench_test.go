@@ -1,10 +1,10 @@
 package htd
 
-// One benchmark per table/figure of the paper's evaluation (DESIGN.md
-// experiment index), plus the candidate-graph ablation. Figure 8's timing
-// benches run at 1/10 of the paper's database scale so `go test -bench=.`
-// stays tractable; `cmd/benchrun -exp fig8a -scale 1` reproduces the
-// full-scale numbers (and EXPERIMENTS.md records them).
+// One benchmark per table/figure of the paper's evaluation (README's
+// "Paper section → package map"), plus the candidate-graph ablation.
+// Figure 8's timing benches run at 1/10 of the paper's database scale so
+// `go test -bench=.` stays tractable; `cmd/benchrun -exp fig8a -scale 1`
+// reproduces the full-scale numbers.
 
 import (
 	"fmt"
@@ -176,39 +176,6 @@ func BenchmarkAblationEdgeIndependentCache(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.MinimalK(h, 3, taf, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelSolver compares the sequential and level-parallel
-// candidate-graph evaluation on Q1's hypergraph with the cost TAF
-// (Section 5's parallelizability claim in practical form).
-func BenchmarkParallelSolver(b *testing.B) {
-	cat := bench.Fig5StatsCatalog()
-	fq := cq.Q1().WithFreshVariables()
-	model, err := cost.NewModel(fq, cat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := fq.Hypergraph()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.MinimalK(h, 4, model.TAF(), core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := core.ParallelOptions{Workers: workers}
-				if _, err := core.ParallelMinimalK(h, 4, model.TAF(), opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,5 +1,5 @@
-// benchrun regenerates the paper's experimental tables and figures
-// (DESIGN.md experiments E3–E8).
+// benchrun regenerates the paper's experimental tables and figures (the
+// Figs 5–8 row of README's "Paper section → package map").
 //
 // Usage:
 //
@@ -14,7 +14,7 @@
 // result). Lower -scale for a quick look.
 //
 // -compare diffs two BENCH_solver.json artifacts (CI's bench-regression
-// gate) and exits non-zero when any fixture × k × workers cell regressed
+// gate) and exits non-zero when any fixture × k cell regressed
 // its cold or warm ns/op by more than -tolerance (default 0.20 = 20%).
 package main
 

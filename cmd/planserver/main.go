@@ -72,7 +72,6 @@ func main() {
 	log.SetPrefix("planserver: ")
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (port 0 = random free port)")
 	capacity := flag.Int("capacity", 4096, "plan cache capacity per cache")
-	workers := flag.Int("workers", 0, "parallel-solver workers for cold plan misses (<=1 = sequential)")
 	maxPsi := flag.Int("max-psi", server.DefaultMaxPsi, "candidate-space guard per search (0 = server default)")
 	isolate := flag.Bool("isolate-tenants", false, "give each tenant a private planner (no cross-tenant cache sharing)")
 	defaultK := flag.Int("default-k", 3, "width bound when requests omit k")
@@ -95,7 +94,6 @@ func main() {
 	cfg := server.Config{
 		Planner: cache.Options{
 			Capacity:     *capacity,
-			Workers:      *workers,
 			MaxKVertices: *maxPsi,
 		},
 		IsolateTenants:   *isolate,

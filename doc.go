@@ -95,11 +95,9 @@
 // solves skip structural discovery entirely; cost.PlanSearchFamily extends
 // the sharing across a whole k-range (used by cost.Sweep), and the solver
 // stamps nodes with integer MemoKeys that the cost model uses to memoize
-// estimates without serializing sets. With PlannerOptions.Workers > 1,
-// cold misses run the level-parallel solver: structural discovery fans the
-// subproblem frontier out breadth-first and weights are evaluated in
-// waves, probing the cost model's lock-free memo tables (weights.Memo)
-// with no lock and no shared cache-line writes on the read path.
+// estimates without serializing sets. Concurrent misses probe those memo
+// tables (weights.Memo) with no lock and no shared cache-line writes on the
+// read path.
 //
 //	planner := htd.NewPlanner(htd.PlannerOptions{})
 //	plan, _ := planner.Plan(q, cat, 2)        // cold: runs cost-k-decomp
@@ -139,8 +137,8 @@
 // -tenant-rate flags) and require the shared-planner mode.
 //
 // The concurrent layers are threaded with chaos injection points
-// (internal/chaos): a seed-deterministic fault schedule can crash or stall
-// a parallel-search worker mid-wave, delay or fail a singleflight compute,
+// (internal/chaos): a seed-deterministic fault schedule can stall a search
+// family's k-vertex enumeration, delay or fail a singleflight compute,
 // drop cache inserts, inflate handler latency, stall shutdown, partition
 // or delay peer RPCs, deny breaker half-open probes, fail hint-drain
 // passes, tear store appends mid-write, and delay or fail the streaming

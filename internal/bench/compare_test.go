@@ -1,13 +1,15 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func benchRow(fixture string, k, workers int, cold, warm int64) SolverBenchRow {
-	return SolverBenchRow{Fixture: fixture, K: k, Workers: workers, Feasible: true,
+func benchRow(fixture string, k int, cold, warm int64) SolverBenchRow {
+	return SolverBenchRow{Fixture: fixture, K: k, Feasible: true,
 		ColdNsPerOp: cold, WarmNsPerOp: warm}
 }
 
@@ -15,13 +17,13 @@ func benchRow(fixture string, k, workers int, cold, warm int64) SolverBenchRow {
 // the benchrun -compare entry point must surface that as a non-nil error
 // (its non-zero exit), which is the whole CI gate.
 func TestCompareSolverBenchRegression(t *testing.T) {
-	base := &SolverBenchReport{Schema: "solver-bench/2", Rows: []SolverBenchRow{
-		benchRow("Q1-fig5", 3, 1, 1000000, 200000),
-		benchRow("Q1-fig5", 3, 4, 600000, 150000),
+	base := &SolverBenchReport{Schema: "solver-bench/3", Rows: []SolverBenchRow{
+		benchRow("Q1-fig5", 3, 1000000, 200000),
+		benchRow("Q2", 2, 600000, 150000),
 	}}
-	head := &SolverBenchReport{Schema: "solver-bench/2", Rows: []SolverBenchRow{
-		benchRow("Q1-fig5", 3, 1, 1500000, 200000), // cold +50%: regression
-		benchRow("Q1-fig5", 3, 4, 600000, 150000),
+	head := &SolverBenchReport{Schema: "solver-bench/3", Rows: []SolverBenchRow{
+		benchRow("Q1-fig5", 3, 1500000, 200000), // cold +50%: regression
+		benchRow("Q2", 2, 600000, 150000),
 	}}
 	table, regressed := CompareSolverBench(base, head, 0.20)
 	if !regressed {
@@ -51,13 +53,13 @@ func TestCompareSolverBenchRegression(t *testing.T) {
 
 // Within-tolerance drift, new cells, and dropped cells all pass.
 func TestCompareSolverBenchTolerance(t *testing.T) {
-	base := &SolverBenchReport{Schema: "solver-bench/2", Rows: []SolverBenchRow{
-		benchRow("Q1-fig5", 3, 1, 1000000, 200000),
-		benchRow("Q2", 2, 1, 500000, 100000),
+	base := &SolverBenchReport{Schema: "solver-bench/3", Rows: []SolverBenchRow{
+		benchRow("Q1-fig5", 3, 1000000, 200000),
+		benchRow("Q2", 2, 500000, 100000),
 	}}
-	head := &SolverBenchReport{Schema: "solver-bench/2", Rows: []SolverBenchRow{
-		benchRow("Q1-fig5", 3, 1, 1150000, 210000), // +15%, +5%: noise
-		benchRow("Q1-fig5", 3, 8, 400000, 80000),   // new cell
+	head := &SolverBenchReport{Schema: "solver-bench/3", Rows: []SolverBenchRow{
+		benchRow("Q1-fig5", 3, 1150000, 210000), // +15%, +5%: noise
+		benchRow("Q3", 2, 400000, 80000),        // new cell
 	}}
 	table, regressed := CompareSolverBench(base, head, 0.20)
 	if regressed {
@@ -68,29 +70,78 @@ func TestCompareSolverBenchTolerance(t *testing.T) {
 	}
 }
 
-// solver-bench/1 artifacts (no workers field) normalize to workers = 1 so
-// the first gated run after the schema bump still compares sequential
-// against sequential.
+// solver-bench/1 artifacts (no workers field) decode as sequential rows,
+// so a v1 base still gates a sequential head.
 func TestCompareSolverBenchSchemaV1(t *testing.T) {
 	dir := t.TempDir()
 	basePath := filepath.Join(dir, "base.json")
 	v1 := &SolverBenchReport{Schema: "solver-bench/1", Rows: []SolverBenchRow{
-		{Fixture: "Q1-fig5", K: 3, Feasible: true, ColdNsPerOp: 1000000, WarmNsPerOp: 200000},
+		benchRow("Q1-fig5", 3, 1000000, 200000),
 	}}
 	if err := WriteSolverBenchJSON(basePath, v1); err != nil {
 		t.Fatal(err)
 	}
-	base, err := ReadSolverBenchJSON(basePath)
+	base, parallel, err := readSolverBenchJSON(basePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Rows[0].Workers != 1 {
-		t.Fatalf("v1 row normalized to workers=%d, want 1", base.Rows[0].Workers)
+	if len(base.Rows) != 1 || len(parallel) != 0 {
+		t.Fatalf("v1 row not read as sequential: rows=%d parallel=%d", len(base.Rows), len(parallel))
 	}
-	head := &SolverBenchReport{Schema: "solver-bench/2", Rows: []SolverBenchRow{
-		benchRow("Q1-fig5", 3, 1, 1600000, 200000),
+	head := &SolverBenchReport{Schema: "solver-bench/3", Rows: []SolverBenchRow{
+		benchRow("Q1-fig5", 3, 1600000, 200000),
 	}}
 	if _, regressed := CompareSolverBench(base, head, 0.20); !regressed {
-		t.Error("v1 base row did not match the workers=1 head row")
+		t.Error("v1 base row did not match the head row")
+	}
+}
+
+// A solver-bench/2 base holds one row per worker count for each cell. Only
+// its workers = 1 row is compared: the others measured the level-parallel
+// solver, which a sequential head must not be judged against (at Q1 k=4
+// its warm solve was ~32% faster, beyond the gate's tolerance). They are
+// listed as dropped and never fail the gate.
+func TestCompareSolverBenchSchemaV2Workers(t *testing.T) {
+	dir := t.TempDir()
+	basePath := filepath.Join(dir, "base.json")
+	cell := func(workers int, cold, warm int64) storedRow {
+		return storedRow{SolverBenchRow: benchRow("Q1-fig5", 4, cold, warm), Workers: workers}
+	}
+	data, err := json.Marshal(struct {
+		Schema string      `json:"schema"`
+		Rows   []storedRow `json:"rows"`
+	}{"solver-bench/2", []storedRow{
+		cell(1, 61400000, 46900000),
+		cell(2, 51900000, 31900000),
+		cell(4, 50000000, 30000000),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(basePath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		head      SolverBenchRow
+		regressed bool
+	}{
+		{"same as sequential", benchRow("Q1-fig5", 4, 61400000, 46900000), false},
+		{"sequential +30% warm", benchRow("Q1-fig5", 4, 61400000, 61000000), true},
+	} {
+		headPath := filepath.Join(dir, "head.json")
+		head := &SolverBenchReport{Schema: "solver-bench/3", Rows: []SolverBenchRow{tc.head}}
+		if err := WriteSolverBenchJSON(headPath, head); err != nil {
+			t.Fatal(err)
+		}
+		table, err := CompareSolverBenchFiles(basePath, headPath, 0.20)
+		if (err != nil) != tc.regressed {
+			t.Errorf("%s: regressed=%v, want %v\n%s", tc.name, err != nil, tc.regressed, table)
+		}
+		for _, w := range []string{"workers=2", "workers=4"} {
+			if !strings.Contains(table, w) || strings.Count(table, "dropped") != 2 {
+				t.Errorf("%s: %s row not listed as dropped:\n%s", tc.name, w, table)
+			}
+		}
 	}
 }

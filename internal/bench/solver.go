@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
@@ -26,15 +24,10 @@ import (
 // and uploads the artifact, so regressions in ns/op or allocs/op are
 // visible across the commit history.
 
-// SolverBenchRow is one (fixture, k, workers) measurement.
+// SolverBenchRow is one (fixture, k) measurement.
 type SolverBenchRow struct {
 	Fixture string `json:"fixture"`
 	K       int    `json:"k"`
-	// Workers is the solver pool size the row was measured with: 1 is the
-	// sequential solver, anything larger the level-parallel one. Rows from
-	// the solver-bench/1 schema carry no workers field and decode as 0;
-	// normalize to 1 when comparing (they measured sequential solves).
-	Workers int `json:"workers"`
 	// Feasible is false when the fixture has no width-k NF decomposition;
 	// timings then measure the cost of discovering infeasibility.
 	Feasible      bool    `json:"feasible"`
@@ -125,42 +118,23 @@ func solverFixtures() []solverFixture {
 	}
 }
 
-// BenchWorkers returns the worker counts every fixture × k is measured at:
-// 1 (the sequential baseline), 4, and NumCPU, deduplicated and ascending —
-// so the artifact makes the parallel solver's speedup (or the lack of one)
-// visible per commit.
-func BenchWorkers() []int {
-	ws := []int{1, 4, runtime.NumCPU()}
-	sort.Ints(ws)
-	out := ws[:1]
-	for _, w := range ws[1:] {
-		if w != out[len(out)-1] {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// RunSolverBench measures every fixture × k × workers and returns the report.
+// RunSolverBench measures every fixture × k and returns the report.
 func RunSolverBench() (*SolverBenchReport, error) {
-	rep := &SolverBenchReport{Schema: "solver-bench/2"}
+	rep := &SolverBenchReport{Schema: "solver-bench/3"}
 	for _, fx := range solverFixtures() {
 		for _, k := range fx.ks {
-			for _, workers := range BenchWorkers() {
-				row, err := runSolverRow(fx, k, workers)
-				if err != nil {
-					return nil, fmt.Errorf("%s k=%d workers=%d: %w", fx.name, k, workers, err)
-				}
-				rep.Rows = append(rep.Rows, row)
+			row, err := runSolverRow(fx, k)
+			if err != nil {
+				return nil, fmt.Errorf("%s k=%d: %w", fx.name, k, err)
 			}
+			rep.Rows = append(rep.Rows, row)
 		}
 	}
 	return rep, nil
 }
 
-func runSolverRow(fx solverFixture, k, workers int) (SolverBenchRow, error) {
-	row := SolverBenchRow{Fixture: fx.name, K: k, Workers: workers}
-	popts := core.ParallelOptions{Workers: workers}
+func runSolverRow(fx solverFixture, k int) (SolverBenchRow, error) {
+	row := SolverBenchRow{Fixture: fx.name, K: k}
 
 	// Candidate-graph statistics and feasibility (one instrumented solve).
 	ps, err := cost.NewPlanSearch(fx.q, k, core.Options{})
@@ -185,17 +159,11 @@ func runSolverRow(fx solverFixture, k, workers int) (SolverBenchRow, error) {
 	row.Solutions = st.Solutions
 	row.Subproblems = st.Subproblems
 
-	// Cold: the full plan path per op, as a service cold miss pays it —
-	// sequential CostKDecomp at workers = 1, the level-parallel solver above.
+	// Cold: the full plan path per op, as a service cold miss pays it.
 	cold := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var err error
-			if workers == 1 {
-				_, err = cost.CostKDecomp(fx.q, fx.cat, k, core.Options{})
-			} else {
-				_, err = cost.CostKDecompParallel(fx.q, fx.cat, k, popts)
-			}
+			_, err := cost.CostKDecomp(fx.q, fx.cat, k, core.Options{})
 			if err != nil && !errors.Is(err, core.ErrNoDecomposition) {
 				b.Fatal(err)
 			}
@@ -210,12 +178,7 @@ func runSolverRow(fx solverFixture, k, workers int) (SolverBenchRow, error) {
 	warm := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var err error
-			if workers == 1 {
-				_, err = core.MinimalKCtx(ps.SC, model.TAF(), core.Options{})
-			} else {
-				_, err = core.ParallelMinimalKCtx(ps.SC, model.TAF(), popts)
-			}
+			_, err := core.MinimalKCtx(ps.SC, model.TAF(), core.Options{})
 			if err != nil && !errors.Is(err, core.ErrNoDecomposition) {
 				b.Fatal(err)
 			}
@@ -240,15 +203,15 @@ func WriteSolverBenchJSON(path string, rep *SolverBenchReport) error {
 // FormatSolverBench renders the report as a console table.
 func FormatSolverBench(rep *SolverBenchReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %2s %3s %5s %10s %12s %10s %12s %6s %6s %6s %6s\n",
-		"fixture", "k", "w", "feas", "cold ns", "cold allocs", "warm ns", "warm allocs", "Ψ", "comps", "sols", "subs")
+	fmt.Fprintf(&b, "%-16s %2s %5s %10s %12s %10s %12s %6s %6s %6s %6s\n",
+		"fixture", "k", "feas", "cold ns", "cold allocs", "warm ns", "warm allocs", "Ψ", "comps", "sols", "subs")
 	for _, r := range rep.Rows {
 		feas := "yes"
 		if !r.Feasible {
 			feas = "no"
 		}
-		fmt.Fprintf(&b, "%-16s %2d %3d %5s %10d %12d %10d %12d %6d %6d %6d %6d\n",
-			r.Fixture, r.K, r.Workers, feas, r.ColdNsPerOp, r.ColdAllocsPerOp,
+		fmt.Fprintf(&b, "%-16s %2d %5s %10d %12d %10d %12d %6d %6d %6d %6d\n",
+			r.Fixture, r.K, feas, r.ColdNsPerOp, r.ColdAllocsPerOp,
 			r.WarmNsPerOp, r.WarmAllocsPerOp, r.Psi, r.Components, r.Solutions, r.Subproblems)
 	}
 	return b.String()

@@ -15,12 +15,9 @@ func TestSolverBenchRowSmoke(t *testing.T) {
 		t.Skip("runs two testing.Benchmark measurements")
 	}
 	fx := solverFixtures()[1] // Q2
-	row, err := runSolverRow(fx, 2, 1)
+	row, err := runSolverRow(fx, 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if row.Workers != 1 {
-		t.Errorf("workers not recorded: %+v", row)
 	}
 	if !row.Feasible || row.EstimatedCost <= 0 {
 		t.Errorf("Q2 k=2 should be feasible with positive cost, got %+v", row)
@@ -35,7 +32,7 @@ func TestSolverBenchRowSmoke(t *testing.T) {
 		t.Logf("note: warm (%d ns) slower than cold (%d ns) — noisy machine?", row.WarmNsPerOp, row.ColdNsPerOp)
 	}
 
-	rep := &SolverBenchReport{Schema: "solver-bench/2", Rows: []SolverBenchRow{row}}
+	rep := &SolverBenchReport{Schema: "solver-bench/3", Rows: []SolverBenchRow{row}}
 	path := filepath.Join(t.TempDir(), "BENCH_solver.json")
 	if err := WriteSolverBenchJSON(path, rep); err != nil {
 		t.Fatal(err)

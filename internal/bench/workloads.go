@@ -1,7 +1,8 @@
 // Package bench implements the experiment harness: workload builders
 // matching the paper's Section 6 setup (the Fig 5 statistics for Q1, random
 // 1500-tuple databases for Q2 and Q3) and runners that regenerate every
-// table and figure of the evaluation (experiments E3–E8 of DESIGN.md).
+// table and figure of the evaluation (README's "Paper section → package
+// map").
 package bench
 
 import (

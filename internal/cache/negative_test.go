@@ -70,40 +70,6 @@ func TestNegativeCacheDecompose(t *testing.T) {
 	}
 }
 
-// Workers > 1 routes cold misses through the parallel solver; the result
-// must agree with the sequential planner.
-func TestPlannerWorkersParallelSolver(t *testing.T) {
-	cat := cycleCatalog(t, 1)
-	seq := NewPlanner(Options{})
-	par := NewPlanner(Options{Workers: 4})
-
-	q := cycleQuery(t, [4]string{"A", "B", "C", "D"})
-	want, err := seq.Plan(q, cat, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, hit, err := par.PlanCached(q, cat, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("cold miss reported as hit")
-	}
-	if got.EstimatedCost != want.EstimatedCost {
-		t.Fatalf("parallel cost %v != sequential %v", got.EstimatedCost, want.EstimatedCost)
-	}
-	if got.Decomp.Width() != want.Decomp.Width() {
-		t.Fatalf("parallel width %d != sequential %d", got.Decomp.Width(), want.Decomp.Width())
-	}
-	if err := got.Decomp.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// And the cached copy remaps like any other entry.
-	if _, hit, err := par.PlanCached(cycleQuery(t, [4]string{"P", "Q", "R", "S"}), cat, 2); err != nil || !hit {
-		t.Fatalf("renamed lookup after parallel cold miss: hit=%v err=%v", hit, err)
-	}
-}
-
 func TestPlannerSetSharedCoalesces(t *testing.T) {
 	set := NewPlannerSet(Options{}, false)
 	if set.For("alice") != set.For("bob") {

@@ -100,12 +100,7 @@ func (p *Planner) ComputePlan(probe *PlanProbe) (plan *cost.Plan, shared bool, e
 			return nil, err
 		}
 		model := cost.NewModelFromEstimates(ps.FQ, probe.canonEsts)
-		var plan *cost.Plan
-		if p.opts.Workers > 1 {
-			plan, err = ps.RunParallel(model, core.ParallelOptions{Workers: p.opts.Workers})
-		} else {
-			plan, err = ps.Run(model, core.Options{})
-		}
+		plan, err := ps.Run(model, core.Options{})
 		if err != nil {
 			if errors.Is(err, core.ErrNoDecomposition) {
 				p.recordInfeasible(probe.NegKey)

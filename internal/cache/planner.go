@@ -28,11 +28,6 @@ type Options struct {
 	// MaxKVertices aborts searches whose candidate space Ψ exceeds the
 	// bound, like core.Options.MaxKVertices. 0 means unlimited.
 	MaxKVertices int
-	// Workers, when > 1, evaluates cold plan and decompose misses with the
-	// level-parallel solver (core.ParallelMinimalKCtx and
-	// core.ParallelDecomposeKCtx) using that many workers; ≤ 1 keeps the
-	// sequential solver. Cache hits are unaffected.
-	Workers int
 }
 
 // Stats snapshots a Planner's cache counters. The JSON tags are the serving
@@ -199,13 +194,7 @@ func (p *Planner) DecomposeCached(h *hypergraph.Hypergraph, k int) (*hypertree.D
 		if err != nil {
 			return nil, err
 		}
-		var d *hypertree.Decomposition
-		if p.opts.Workers > 1 {
-			// Decompose requests honour Workers like plan requests do.
-			d, err = core.ParallelDecomposeKCtx(sc, core.ParallelOptions{Workers: p.opts.Workers})
-		} else {
-			d, err = core.DecomposeKCtx(sc, core.Options{})
-		}
+		d, err := core.DecomposeKCtx(sc, core.Options{})
 		if err != nil {
 			if errors.Is(err, core.ErrNoDecomposition) {
 				p.recordInfeasible(decompNegKey(hc.Key, k))

@@ -329,28 +329,6 @@ func TestPlannerDuplicatePredicateFallback(t *testing.T) {
 	}
 }
 
-// TestPlannerDecomposeWorkers: decompose requests honour Options.Workers
-// (the parallel weightless path) and agree with the sequential result.
-func TestPlannerDecomposeWorkers(t *testing.T) {
-	h := hypergraph.Cycle(8)
-	seq := NewPlanner(Options{})
-	par := NewPlanner(Options{Workers: 4})
-	d1, err := seq.Decompose(h, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := par.Decompose(h, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1.String() != d2.String() {
-		t.Errorf("parallel decompose differs from sequential:\n%s\nvs\n%s", d2, d1)
-	}
-	if st := par.Stats(); st.Decompositions.Computations != 1 {
-		t.Errorf("parallel decompose stats = %+v, want 1 computation", st.Decompositions)
-	}
-}
-
 // TestPlannerSearchFamilySharedAcrossK: planning one structure at two width
 // bounds builds one search family (one augmentation + StructIndex), not two
 // independent PlanSearch contexts.

@@ -1,9 +1,10 @@
 // Package chaos is the deterministic fault-injection layer behind the
 // resilience harness: named injection points threaded through the planner
-// (parallel search waves), the cache (singleflight computes, LRU inserts),
-// and the serving layer (handlers, catalog publication, shutdown), plus a
-// seed-reproducible fault Schedule that decides, per hit, whether to delay,
-// panic, fail, or drop.
+// (search-family enumeration), the cache (singleflight computes, LRU
+// inserts), the serving layer (handlers, catalog publication, shutdown,
+// hint drain), the cluster tier, the plan store and the streaming engine,
+// plus a seed-reproducible fault Schedule that decides, per hit, whether to
+// delay, panic, fail, or drop.
 //
 // The design contract is zero cost on the hot path: every hook site calls
 // Hit, and with no injector registered Hit is one atomic pointer load and a
@@ -11,11 +12,10 @@
 // allocation-ceiling tests and the CI bench-regression gate pin this.
 //
 // Faults are requested by sites, not forced on them: a site passes the set
-// of effects it can honor safely (e.g. the parallel weigh wave allows
-// Delay|Panic because re-weighing a chunk is idempotent; structural
-// discovery allows Delay only because interning appends are not), and the
-// injector's answer is masked by that set. Injected panics carry a sentinel
-// recognized by IsInjected, so recovery paths never swallow a genuine bug.
+// of effects it can honor safely (e.g. the singleflight compute allows
+// Delay|Fail, the search-family enumeration Delay only), and the injector's
+// answer is masked by that set. Injected panics carry a sentinel recognized
+// by IsInjected, so recovery paths never swallow a genuine bug.
 package chaos
 
 import (
@@ -29,12 +29,12 @@ import (
 type Point uint8
 
 const (
-	// CoreWeighWave fires in each phase-2 weigh worker, at the start and
-	// midpoint of its chunk. Allows Delay and Panic (chunks re-weigh).
-	CoreWeighWave Point = iota
-	// CoreDiscoverWave fires in each phase-1 discovery worker before it
-	// expands its frontier chunk. Delay only: interning is not idempotent.
-	CoreDiscoverWave
+	// Points 0 and 1 were the waves of a since-deleted parallel solver.
+	// They stay reserved because Schedule seeds every fault draw with the
+	// point's number: renumbering would make every seed replay a different
+	// schedule.
+	_ Point = iota
+	_
 	// CostFamilyAt fires inside PlanSearchFamily.At before a width's
 	// k-vertex enumeration, widening the race window between concurrent
 	// cold misses on one structure.
@@ -88,8 +88,8 @@ const (
 )
 
 var pointNames = [numPoints]string{
-	"core.weigh.wave",
-	"core.discover.wave",
+	"", // reserved
+	"", // reserved
 	"cost.family.at",
 	"cache.flight",
 	"cache.add",
@@ -104,7 +104,7 @@ var pointNames = [numPoints]string{
 }
 
 func (p Point) String() string {
-	if int(p) < len(pointNames) {
+	if int(p) < len(pointNames) && pointNames[p] != "" {
 		return pointNames[p]
 	}
 	return "chaos.point.unknown"

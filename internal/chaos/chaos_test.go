@@ -12,7 +12,7 @@ func TestHitNoInjectorIsFree(t *testing.T) {
 	if Active() {
 		t.Fatal("injector unexpectedly active")
 	}
-	if got := Hit(CoreWeighWave, Delay|Panic); got != 0 {
+	if got := Hit(CostFamilyAt, Delay); got != 0 {
 		t.Fatalf("Hit with no injector = %v, want 0", got)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -89,20 +89,20 @@ func TestScheduleDeterministic(t *testing.T) {
 // The site's allowed mask filters effects: a rule asking for Panic at a
 // site that only allows Delay must not panic.
 func TestAllowedMaskFilters(t *testing.T) {
-	s := NewSchedule(3, Rule{Point: CoreDiscoverWave, Prob: 1, Effect: Panic | Fail})
+	s := NewSchedule(3, Rule{Point: CacheFlight, Prob: 1, Effect: Panic | Fail})
 	un := Register(s)
 	defer un()
-	if got := Hit(CoreDiscoverWave, Delay); got != 0 {
+	if got := Hit(CacheFlight, Delay); got != 0 {
 		t.Fatalf("masked Hit = %v, want 0", got)
 	}
-	if got := Hit(CoreDiscoverWave, Fail); got != Fail {
+	if got := Hit(CacheFlight, Fail); got != Fail {
 		t.Fatalf("Hit = %v, want Fail", got)
 	}
 }
 
 // Injected panics carry the sentinel; foreign panics are not claimed.
 func TestInjectedPanicSentinel(t *testing.T) {
-	s := NewSchedule(4, Rule{Point: CoreWeighWave, Prob: 1, Effect: Panic})
+	s := NewSchedule(4, Rule{Point: EngineBatch, Prob: 1, Effect: Panic})
 	un := Register(s)
 	defer un()
 	func() {
@@ -112,7 +112,7 @@ func TestInjectedPanicSentinel(t *testing.T) {
 				t.Fatalf("recover() = %v, want injected sentinel", r)
 			}
 		}()
-		Hit(CoreWeighWave, Panic)
+		Hit(EngineBatch, Panic)
 	}()
 	if IsInjected("boom") || IsInjected(nil) {
 		t.Fatal("IsInjected claimed a foreign panic value")
@@ -175,4 +175,40 @@ func TestVerifyNoGoroutineLeak(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	close(stop)
+}
+
+// Schedule seeds every fault draw with the point's number, so a point's
+// value is part of every recorded seed's meaning: each surviving point keeps
+// its number and name, and the reserved values stay unnamed.
+func TestPointNumbersStable(t *testing.T) {
+	want := []struct {
+		p    Point
+		n    int
+		name string
+	}{
+		{CostFamilyAt, 2, "cost.family.at"},
+		{CacheFlight, 3, "cache.flight"},
+		{CacheAdd, 4, "cache.add"},
+		{ServerHandler, 5, "server.handler"},
+		{ServerCatalogPut, 6, "server.catalog.put"},
+		{ServerShutdown, 7, "server.shutdown"},
+		{ClusterPeerRPC, 8, "cluster.peer.rpc"},
+		{StoreAppend, 9, "store.append"},
+		{ClusterPeerBreaker, 10, "cluster.peer.breaker"},
+		{ServerHintDrain, 11, "server.hint.drain"},
+		{EngineBatch, 12, "engine.batch"},
+	}
+	for _, w := range want {
+		if int(w.p) != w.n || w.p.String() != w.name {
+			t.Errorf("point %q = %d, want %q = %d", w.p, int(w.p), w.name, w.n)
+		}
+	}
+	if NumPoints() != 13 {
+		t.Errorf("NumPoints() = %d, want 13", NumPoints())
+	}
+	for _, p := range []Point{0, 1} {
+		if got := p.String(); got != "chaos.point.unknown" {
+			t.Errorf("reserved point %d named %q", p, got)
+		}
+	}
 }

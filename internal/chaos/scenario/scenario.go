@@ -87,7 +87,7 @@ type Scenario struct {
 	Description string
 	// Rules builds the seeded fault schedule.
 	Rules func(seed int64) []chaos.Rule
-	// Tune adjusts the server config (limits, timeouts, workers).
+	// Tune adjusts the server config (limits, timeouts).
 	Tune func(cfg *server.Config)
 	// TuneCluster adjusts each replica's cluster config (breaker windows,
 	// hint-drain cadence); only consulted when Cluster is set.
@@ -126,23 +126,6 @@ type Scenario struct {
 // Scenarios returns the standing suite, in execution order.
 func Scenarios() []Scenario {
 	return []Scenario{
-		{
-			Name:        "worker-storm",
-			Description: "parallel search workers stall and crash mid-wave; plans must stay byte-identical",
-			Rules: func(seed int64) []chaos.Rule {
-				return []chaos.Rule{
-					{Point: chaos.CoreWeighWave, Prob: 0.5, Effect: chaos.Delay, Jitter: 2 * time.Millisecond},
-					{Point: chaos.CoreWeighWave, Prob: 0.2, Effect: chaos.Panic},
-					{Point: chaos.CoreDiscoverWave, Prob: 0.5, Effect: chaos.Delay, Jitter: 2 * time.Millisecond},
-					{Point: chaos.CacheAdd, Prob: 0.5, Effect: chaos.Drop},
-				}
-			},
-			Tune: func(cfg *server.Config) {
-				cfg.Planner.Workers = 4
-			},
-			Require:       []chaos.Point{chaos.CoreWeighWave, chaos.CacheAdd},
-			WantEvictions: true,
-		},
 		{
 			Name:        "flight-cancel",
 			Description: "singleflight computes are delayed while waiters cancel; peers must still get correct plans",

@@ -156,24 +156,3 @@ func TestSharedContextSolvesAgree(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelDecomposeKCtx checks the weightless parallel entry point
-// agrees with the sequential decomposition.
-func TestParallelDecomposeKCtx(t *testing.T) {
-	h := buildQ1()
-	sc, err := NewSearchContext(h, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := DecomposeKCtx(sc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ParallelDecomposeKCtx(sc, ParallelOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
-		t.Errorf("parallel decomposition differs from sequential:\n%s\nvs\n%s", par, seq)
-	}
-}

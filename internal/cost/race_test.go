@@ -11,10 +11,9 @@ import (
 )
 
 // TestPlanSearchFamilyConcurrentHammer drives one PlanSearchFamily from 8
-// goroutines mixing width bounds, sequential and parallel solves, shared
-// and private cost models — the family's lazy per-k contexts, the shared
-// StructIndex/solStruct caches, and the model's lock-free memo tables all
-// under fire at once. Run with -race (CI does); every plan must match the
+// goroutines mixing width bounds and shared and private cost models — the
+// family's lazy per-k contexts, the shared StructIndex/solStruct caches,
+// and the model's lock-free memo tables all under fire at once. Run with -race (CI does); every plan must match the
 // single-threaded reference bit for bit.
 func TestPlanSearchFamilyConcurrentHammer(t *testing.T) {
 	cat := bench.Fig5StatsCatalog()
@@ -59,12 +58,7 @@ func TestPlanSearchFamilyConcurrentHammer(t *testing.T) {
 				if i%2 == 1 {
 					model = cost.NewModelFromEstimates(fam.FQ, ests)
 				}
-				var plan *cost.Plan
-				if g%2 == 0 {
-					plan, err = ps.Run(model, core.Options{})
-				} else {
-					plan, err = ps.RunParallel(model, core.ParallelOptions{Workers: 1 + g%4})
-				}
+				plan, err := ps.Run(model, core.Options{})
 				if err != nil {
 					errs <- err
 					return

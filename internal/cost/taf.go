@@ -30,8 +30,8 @@ import (
 // with one hash and an atomic slot load, and the estimates themselves are
 // int-keyed (IEst, indexed by the hypergraph's variable ids), so a
 // memoized vertex or edge evaluation allocates nothing, takes no lock, and
-// writes no shared cache line — level-parallel solves scale instead of
-// serializing on a reader counter.
+// writes no shared cache line — concurrent solves sharing a model scale
+// instead of serializing on a reader counter.
 type Model struct {
 	query   *cq.Query
 	edgeEst map[string]Est // per atom name: base-relation stats as query vars

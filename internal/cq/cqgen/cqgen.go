@@ -1,6 +1,6 @@
 // Package cqgen generates seeded random conjunctive queries together with
 // matching synthetic catalogs — the fuel of the property-based differential
-// suites that pin self-join planning, parallel-plan determinism, and cache
+// suites that pin self-join planning, warm-search plan determinism, and cache
 // canonicalization. Generation is deterministic per (seed, Config): equal
 // inputs produce byte-identical instances, so failures reproduce from the
 // seed alone.

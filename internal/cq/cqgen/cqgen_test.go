@@ -126,34 +126,56 @@ func TestSelfJoinCopyOracle(t *testing.T) {
 	}
 }
 
-// TestGeneratedParallelPlanDeterminism is differential property (b): over
-// 200 generated queries, the level-parallel solver with Workers ∈ {1, 4}
-// returns byte-identical decompositions and bit-identical costs.
-func TestGeneratedParallelPlanDeterminism(t *testing.T) {
+// TestGeneratedWarmFamilyPlanDeterminism is differential property (b):
+// over 200 generated queries, a k=2 solve over a shared, warm
+// cost.PlanSearchFamily with a fresh cost model — the path a plan cache
+// takes on a structure-warm miss — returns the byte-identical plan and
+// bit-identical cost of a from-scratch CostKDecomp. The family is warmed
+// by a k=3 solve (sharing its component table) and a first k=2 solve
+// (filling the width's structural caches).
+func TestGeneratedWarmFamilyPlanDeterminism(t *testing.T) {
 	const k = 2
 	planned := 0
 	for i, inst := range instances(t, 3, 200) {
-		seq, err := cost.CostKDecomp(inst.Query, inst.Catalog, k, core.Options{})
+		fresh, err := cost.CostKDecomp(inst.Query, inst.Catalog, k, core.Options{})
 		if errors.Is(err, core.ErrNoDecomposition) {
 			continue
 		}
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
-		for _, workers := range []int{1, 4} {
-			par, err := cost.CostKDecompParallel(inst.Query, inst.Catalog, k,
-				core.ParallelOptions{Workers: workers})
+		fam, err := cost.NewPlanSearchFamily(inst.Query, core.Options{})
+		if err != nil {
+			t.Fatalf("instance %d: %v", i, err)
+		}
+		ests, err := cost.EdgeEstimates(fam.FQ, inst.Catalog)
+		if err != nil {
+			t.Fatalf("instance %d: %v", i, err)
+		}
+		for _, wk := range []int{k + 1, k} {
+			ps, err := fam.At(wk)
 			if err != nil {
-				t.Fatalf("instance %d workers=%d: %v", i, workers, err)
+				t.Fatalf("instance %d k=%d: %v", i, wk, err)
 			}
-			if par.EstimatedCost != seq.EstimatedCost {
-				t.Fatalf("instance %d workers=%d: cost %v != sequential %v (%s)",
-					i, workers, par.EstimatedCost, seq.EstimatedCost, inst.Query)
+			if _, err := ps.Run(cost.NewModelFromEstimates(fam.FQ, ests), core.Options{}); err != nil &&
+				!errors.Is(err, core.ErrNoDecomposition) {
+				t.Fatalf("instance %d k=%d: warm-up: %v", i, wk, err)
 			}
-			if got, want := par.FormatAnnotated(), seq.FormatAnnotated(); got != want {
-				t.Fatalf("instance %d workers=%d: plan differs from sequential\n%s\nvs\n%s",
-					i, workers, got, want)
-			}
+		}
+		ps, err := fam.At(k)
+		if err != nil {
+			t.Fatalf("instance %d: %v", i, err)
+		}
+		warm, err := ps.Run(cost.NewModelFromEstimates(fam.FQ, ests), core.Options{})
+		if err != nil {
+			t.Fatalf("instance %d: warm: %v", i, err)
+		}
+		if warm.EstimatedCost != fresh.EstimatedCost {
+			t.Fatalf("instance %d: warm cost %v != fresh %v (%s)",
+				i, warm.EstimatedCost, fresh.EstimatedCost, inst.Query)
+		}
+		if got, want := warm.FormatAnnotated(), fresh.FormatAnnotated(); got != want {
+			t.Fatalf("instance %d: warm plan differs from fresh\n%s\nvs\n%s", i, got, want)
 		}
 		planned++
 	}

@@ -49,7 +49,7 @@ import (
 // Config tunes a Server. The zero value selects sensible defaults.
 type Config struct {
 	// Planner tunes the Planner(s) behind the service (capacity, shards,
-	// workers, Ψ guard). A zero MaxKVertices is replaced by DefaultMaxPsi:
+	// Ψ guard). A zero MaxKVertices is replaced by DefaultMaxPsi:
 	// a public endpoint must bound the candidate space.
 	Planner cache.Options
 	// IsolateTenants gives each tenant a private Planner. The default

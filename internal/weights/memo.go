@@ -11,9 +11,8 @@ import (
 // slots publish their value pointer with a release store; readers probe
 // with acquire loads and never take a lock, never hash twice, and never
 // touch a shared cache line — the RWMutex read path it replaces serializes
-// readers on the lock's reader counter, which is exactly the contention
-// that made level-parallel solves lose to sequential ones on memo-friendly
-// TAFs. Writers serialize on one mutex; growth doubles the table and
+// readers on the lock's reader counter, so concurrent solves sharing one
+// memo would contend on it. Writers serialize on one mutex; growth doubles the table and
 // republishes it atomically, so insertion stays amortized O(1) with ≈2
 // copies per entry over the table's lifetime.
 //
